@@ -1,7 +1,7 @@
-"""Connection-scaling benchmarks for the event-loop network tier.
+"""Connection-scaling benchmark for the event-loop network tier.
 
-The thread-per-connection front end pays one OS thread per socket for
-its whole lifetime, so idle connections are the expensive case: a
+A thread-per-connection server pays one OS thread per socket for its
+whole lifetime, so idle connections are the expensive case: a
 thousand phones sitting in a lobby with the app open would cost a
 thousand blocked threads.  The event-loop front end pins that cost:
 
@@ -11,16 +11,10 @@ thousand blocked threads.  The event-loop front end pins that cost:
   flat: the network tier adds at most 2 threads over the bare access
   server, and opening every idle connection adds zero more.  Real
   establishments keep succeeding around the idlers (liveness).
-* **per-session latency parity** — N sequential loopback
-  establishments through the event-loop server vs the threaded
-  baseline, identical pinned seeds: the loop's scheduling hops must
-  stay within 10% (plus a small absolute jitter allowance) of the
-  thread-per-connection design it replaces.
 
 Set ``WAVEKEY_SCALE_METRICS_OUT=FILE`` to dump the server's metrics
 snapshot (loop health series included) as JSON — CI uploads it as the
-``net-scale`` artifact.  Scaling: 6 latency sessions per
-``WAVEKEY_BENCH_SCALE`` unit.
+``net-scale`` artifact.
 """
 
 from __future__ import annotations
@@ -34,14 +28,8 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import bench_scale
 from repro.analysis import format_table
-from repro.net import (
-    NetClientConfig,
-    ThreadedWaveKeyTCPServer,
-    WaveKeyNetClient,
-    WaveKeyTCPServer,
-)
+from repro.net import NetClientConfig, WaveKeyNetClient, WaveKeyTCPServer
 from repro.service import ServiceConfig, WaveKeyAccessServer
 from repro.utils.bits import BitSequence
 
@@ -164,58 +152,4 @@ def test_idle_connections_scale_at_flat_thread_count(bundle):
 
     assert n_conns >= 256, (
         f"fd rlimit capped the benchmark at {n_conns} connections"
-    )
-
-
-def test_event_loop_latency_parity_with_threaded_baseline(bundle):
-    n = 6 * bench_scale()
-    seed = BitSequence.random(32, np.random.default_rng(41_002))
-    client_config = NetClientConfig(read_timeout_s=30.0)
-    means = {}
-
-    for label, front_end in (
-        ("threaded", ThreadedWaveKeyTCPServer),
-        ("event-loop", WaveKeyTCPServer),
-    ):
-        with WaveKeyAccessServer(
-            bundle, ServiceConfig(workers=2), acquire_fn=_fixed_acquire
-        ) as server:
-            _pin_seeds(server, seed)
-            with front_end(server) as tcp:
-                # one warmup session absorbs lazy imports / allocator
-                # warmup so the measured window compares steady states
-                warmup = WaveKeyNetClient(
-                    *tcp.address, client_config
-                ).establish(rng_seed=4999)
-                assert warmup.success
-                start = time.perf_counter()
-                results = [
-                    WaveKeyNetClient(
-                        *tcp.address, client_config
-                    ).establish(rng_seed=5000 + i)
-                    for i in range(n)
-                ]
-                means[label] = (time.perf_counter() - start) / n
-        assert all(r.success for r in results), label
-
-    print()
-    print(format_table(
-        ["front end", "per session (ms)", "sessions/s"],
-        [
-            [label, f"{1000 * mean:.1f}", f"{1 / mean:.1f}"]
-            for label, mean in means.items()
-        ],
-        title=(
-            f"per-session loopback latency, {n} sequential "
-            "establishments per front end (identical pinned seeds)"
-        ),
-    ))
-
-    # Parity bound: the loop's cross-thread hops ride sessions
-    # dominated by OT group arithmetic; within 10% of the threaded
-    # design, plus a small absolute allowance for 1-core scheduler
-    # jitter on short runs.
-    assert means["event-loop"] <= 1.10 * means["threaded"] + 0.050, (
-        f"event-loop {means['event-loop'] * 1000:.1f} ms/session vs "
-        f"threaded {means['threaded'] * 1000:.1f} ms/session"
     )

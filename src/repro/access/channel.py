@@ -8,7 +8,7 @@ packages the two endpoint roles:
 * :class:`ServerAccessChannel` — transport-agnostic: the event-loop
   server (:mod:`repro.net.server`) feeds it decoded
   :class:`RecordFrame` objects and writes back whatever frames it
-  returns, so the same logic also serves the threaded baseline;
+  returns;
 * :class:`ClientAccessChannel` — owns a blocking
   :class:`~repro.net.connection.FrameConnection`, performs the
   resume handshake (nonce exchange, server-auth tag check), and

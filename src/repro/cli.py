@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     repro attack {guess,mimic,spoof} [--trials N]
     repro serve [--dry-run] [--workers N] [--queue-capacity N] ...
     repro serve --listen HOST:PORT [--port-file F] [--sessions N]
-                [--no-event-loop] [--ticket-journal F] [--ticket-ttl S]
+                [--ticket-journal F] [--ticket-ttl S]
     repro access grant --connect HOST:PORT --ticket-file F [--seed N]
     repro access {query,open} --connect HOST:PORT --ticket-file F
                  [--target NAME]
@@ -34,8 +34,7 @@ the access server on a TCP socket (port 0 picks a free port;
 ``--port-file`` writes the bound address for scripts), and
 ``establish``/``loadgen`` with ``--connect HOST:PORT`` run real
 client sessions against it over the wire.  Connections are served by
-the selectors event loop by default; ``--no-event-loop`` selects the
-thread-per-connection front end instead.
+a single ``selectors`` event loop.
 
 Secure access (:mod:`repro.access`): ``access grant`` runs one
 establishment and parks the resumption ticket in ``--ticket-file``;
@@ -171,14 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port-file", metavar="FILE", default=None,
                        help="with --listen, write the bound HOST:PORT "
                             "to FILE once listening")
-    serve.add_argument("--event-loop", dest="event_loop",
-                       action="store_true", default=True,
-                       help="with --listen, serve connections on the "
-                            "selectors event loop (default)")
-    serve.add_argument("--no-event-loop", dest="event_loop",
-                       action="store_false",
-                       help="with --listen, use the thread-per-"
-                            "connection front end instead")
     serve.add_argument("--ticket-journal", metavar="FILE", default=None,
                        help="with --listen, persist resumption tickets "
                             "to an append-only journal (recovered on "
@@ -616,7 +607,7 @@ def _cmd_serve_net(args, config, bundle, out) -> int:
     import signal
     import time
 
-    from repro.net import ThreadedWaveKeyTCPServer, WaveKeyTCPServer
+    from repro.net import WaveKeyTCPServer
     from repro.service import WaveKeyAccessServer
 
     # Graceful shutdown on SIGTERM too: CI smoke jobs run the server
@@ -632,11 +623,6 @@ def _cmd_serve_net(args, config, bundle, out) -> int:
         pass  # not the main thread; fall back to default delivery
 
     host, port = _parse_hostport(args.listen)
-    front_end = (
-        WaveKeyTCPServer
-        if getattr(args, "event_loop", True)
-        else ThreadedWaveKeyTCPServer
-    )
     tracer = _obs_session(args)
     if getattr(args, "telemetry", False) and tracer is None:
         from repro.obs import Tracer
@@ -673,7 +659,7 @@ def _cmd_serve_net(args, config, bundle, out) -> int:
                 anti_entropy_interval_s=args.replication_interval,
                 tracer=tracer,
             )
-        with front_end(
+        with WaveKeyTCPServer(
             server, host, port, key_store=key_store, telemetry=telemetry,
             replicator=replicator,
         ) as tcp:

@@ -7,20 +7,19 @@ left simulated:
   frames, message-type tags, and round-trip serialization for every
   protocol dataclass plus the session-control frames (hello, accept,
   seed grant, round result, verdict, error);
-* :mod:`repro.net.connection` — a socket wrapper speaking that codec
-  with read deadlines, max-frame enforcement, zero-copy buffered
-  reads, frame/byte metrics, and the bounded non-blocking
-  :class:`OutboundBuffer` used by the event-loop tier;
+* :mod:`repro.net.connection` — the client's socket wrapper speaking
+  that codec with read deadlines, max-frame enforcement, zero-copy
+  buffered reads and frame/byte metrics, plus the bounded
+  non-blocking :class:`OutboundBuffer` the server writes through;
 * :mod:`repro.net.eventloop` — a single-threaded ``selectors`` event
   loop (self-pipe wakeups, timer heap, loop health metrics) shared by
   the server and proxy front ends;
-* :mod:`repro.net.server` — TCP front ends over
-  :class:`repro.service.WaveKeyAccessServer`: the default event-loop
-  :class:`WaveKeyTCPServer` (constant thread count at any connection
-  count, protocol compute offloaded to the access server's workers)
-  and the original :class:`ThreadedWaveKeyTCPServer` baseline;
-  sessions feed through the existing admission queue and
-  micro-batcher, load shedding maps to wire error frames;
+* :mod:`repro.net.server` — the event-loop TCP front end over
+  :class:`repro.service.WaveKeyAccessServer`: :class:`WaveKeyTCPServer`
+  keeps a constant thread count at any connection count and offloads
+  protocol compute to the access server's workers; sessions feed
+  through the existing admission queue and micro-batcher, load
+  shedding maps to wire error frames;
 * :mod:`repro.net.client` — a blocking client SDK driving a full
   establishment from the device side, with connect/read timeouts and
   bounded exponential-backoff retries; after a successful agreement
@@ -82,12 +81,7 @@ from repro.net.proxy import (
     drop_frames,
     reorder_once,
 )
-from repro.net.server import (
-    ThreadedWaveKeyTCPServer,
-    WaveKeyTCPServer,
-    backend_stats_response,
-    issue_ticket_grant,
-)
+from repro.net.server import WaveKeyTCPServer
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -111,13 +105,10 @@ __all__ = [
     "RevokeNotice",
     "StatsRequest",
     "StatsResponse",
-    "ThreadedWaveKeyTCPServer",
     "TicketGrant",
     "WaveKeyNetClient",
     "WaveKeyTCPServer",
-    "backend_stats_response",
     "corrupt_frames",
-    "issue_ticket_grant",
     "decode_payload",
     "delay_frames",
     "drop_frames",

@@ -327,7 +327,6 @@ class WaveKeyNetClient:
                 max_frame_bytes=config.max_frame_bytes,
                 read_timeout_s=config.read_timeout_s,
                 metrics=self.metrics,
-                endpoint="client",
             )
             try:
                 client_nonce = new_nonce()
@@ -379,7 +378,6 @@ class WaveKeyNetClient:
             max_frame_bytes=self.config.max_frame_bytes,
             read_timeout_s=self.config.read_timeout_s,
             metrics=self.metrics,
-            endpoint="client",
         )
         try:
             conn.send(RevokeNotice(
@@ -435,7 +433,6 @@ class WaveKeyNetClient:
                     max_frame_bytes=config.max_frame_bytes,
                     read_timeout_s=config.read_timeout_s,
                     metrics=self.metrics,
-                    endpoint="client",
                 )
             except TransportError as exc:
                 raise _ConnectFailed(exc) from exc

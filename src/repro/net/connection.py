@@ -1,16 +1,19 @@
 """A socket speaking the WaveKey frame codec.
 
-:class:`FrameConnection` owns one TCP socket and turns it into a typed
-message stream: ``send(message)`` / ``recv(timeout)`` with per-call
-read deadlines, max-frame enforcement, and a write lock (the server's
-worker thread and connection handler share one socket).  All failures
-are typed :class:`repro.errors.TransportError` subclasses so callers
-can retry transport faults without swallowing protocol errors.
+:class:`FrameConnection` is the client side of the wire: it owns one
+TCP socket and turns it into a typed message stream, ``send(message)``
+/ ``recv(timeout)`` with per-call read deadlines, max-frame
+enforcement, and a write lock so concurrent senders never interleave
+frame bytes.  All failures are typed
+:class:`repro.errors.TransportError` subclasses so callers can retry
+transport faults without swallowing protocol errors.
 
-When given a :class:`MetricsRegistry`, the connection emits labeled
-frame/byte counters and encode/decode latency histograms per endpoint
-(``{"endpoint": "client"}`` vs ``"server"``) — the wire-level half of
-the observability story.
+When given a :class:`MetricsRegistry`, the connection emits frame/byte
+counters and encode/decode latency histograms labeled
+``{"endpoint": "client"}``; the server's event loop emits the same
+series under ``"server"`` — the wire-level half of the observability
+story.  :class:`OutboundBuffer` is the server's non-blocking write
+side.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.obs.metrics import MetricsRegistry
 import threading
 
 _UNSET = object()
+_LABELS = {"endpoint": "client"}
 
 
 def connect(
@@ -69,14 +73,11 @@ class FrameConnection:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         read_timeout_s: float = 10.0,
         metrics: Optional[MetricsRegistry] = None,
-        endpoint: str = "client",
     ):
         self._sock = sock
         self.max_frame_bytes = int(max_frame_bytes)
         self.read_timeout_s = float(read_timeout_s)
         self.metrics = metrics
-        self.endpoint = endpoint
-        self._labels = {"endpoint": endpoint}
         self._write_lock = threading.Lock()
         self._rx_buf = bytearray(4096)
         self._closed = False
@@ -131,13 +132,13 @@ class FrameConnection:
             raise ConnectionClosed(f"send failed: {exc}") from exc
         if self.metrics is not None:
             self.metrics.counter(
-                "net.frames_sent", labels=self._labels
+                "net.frames_sent", labels=_LABELS
             ).inc()
             self.metrics.counter(
-                "net.bytes_sent", labels=self._labels
+                "net.bytes_sent", labels=_LABELS
             ).inc(len(data))
             self.metrics.histogram(
-                "net.encode_s", labels=self._labels
+                "net.encode_s", labels=_LABELS
             ).observe(encode_s)
 
     # -- receiving ---------------------------------------------------------
@@ -184,13 +185,13 @@ class FrameConnection:
         decode_s = time.perf_counter() - start
         if self.metrics is not None:
             self.metrics.counter(
-                "net.frames_received", labels=self._labels
+                "net.frames_received", labels=_LABELS
             ).inc()
             self.metrics.counter(
-                "net.bytes_received", labels=self._labels
+                "net.bytes_received", labels=_LABELS
             ).inc(len(frame.payload) + struct.calcsize("!IB"))
             self.metrics.histogram(
-                "net.decode_s", labels=self._labels
+                "net.decode_s", labels=_LABELS
             ).observe(decode_s)
         return message
 

@@ -1,27 +1,27 @@
-"""TCP front ends over :class:`WaveKeyAccessServer`.
+"""Event-loop TCP front end over :class:`WaveKeyAccessServer`.
 
-Two servers speak the same wire protocol:
+:class:`WaveKeyTCPServer` runs a single ``selectors`` thread that owns
+every socket; per-connection state machines (handshake -> request ->
+agreement rounds -> verdict) are driven by readiness events, and the
+only per-session threads are the access server's existing protocol
+workers.  Thousands of idle connections cost file descriptors, not OS
+threads.
 
-* :class:`WaveKeyTCPServer` — the default **event-loop** front end: a
-  single ``selectors`` thread owns every socket, per-connection state
-  machines (handshake -> request -> agreement rounds -> verdict) are
-  driven by readiness events, and the only per-session threads are the
-  access server's existing protocol workers.  Thousands of idle
-  connections cost file descriptors, not OS threads.
-* :class:`ThreadedWaveKeyTCPServer` — the original thread-per-connection
-  design, kept as the latency baseline for the scaling benchmarks and
-  behind ``repro serve --no-event-loop``.
-
-The event-loop data path:
+The data path:
 
 * **reads** — the loop ``recv_into``\\ s each readable socket into that
   connection's reusable :class:`FrameAssembler` buffer and decodes
   complete frames in place (no per-chunk allocations, no joins);
+* **first frames** — after one protocol-version check, a dispatch
+  table keyed by message type answers the connection's first frame:
+  ``Hello`` starts a session, ``ResumeRequest`` opens a secure channel
+  from a ticket, and revoke / stats / telemetry / replication requests
+  get a one-shot reply before the connection closes;
 * **compute offload** — decoded protocol messages are queued to the
-  session's worker channel; the access server's worker runs the same
-  :class:`_NetAgreement` exchange as before, blocking on the in-memory
-  channel instead of the socket, and its sends append encoded bytes to
-  the connection's bounded :class:`OutboundBuffer` and wake the loop
+  session's worker channel; the access server's worker runs the
+  :class:`_NetAgreement` exchange, blocking on the in-memory channel
+  instead of the socket, and its sends append encoded bytes to the
+  connection's bounded :class:`OutboundBuffer` and wake the loop
   through the self-pipe;
 * **writes** — the loop flushes outbound buffers on writability;
   partial writes keep their ``memoryview`` offset.  A peer that stops
@@ -34,7 +34,7 @@ The event-loop data path:
   (``net.server.handshake_timeouts``) and the verdict budget; mid-round
   read deadlines ride the worker channel's bounded ``get``.
 
-Operational mapping onto the wire (both servers):
+Operational mapping onto the wire:
 
 * **load shedding** — a shed admission becomes an ``ErrorFrame`` with
   code ``busy`` carrying the queue depth, and the connection closes;
@@ -106,13 +106,7 @@ from repro.net.codec import (
     encode_message,
     frame_to_bytes,
 )
-from repro.net.connection import (
-    SEND_CLOSED,
-    SEND_OK,
-    SEND_OVERFLOW,
-    FrameConnection,
-    OutboundBuffer,
-)
+from repro.net.connection import SEND_CLOSED, SEND_OVERFLOW, OutboundBuffer
 from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
 from repro.obs.metrics import byte_buckets
 from repro.obs.tracing import parent_from_context, resolve_tracer
@@ -132,145 +126,6 @@ _UNSET = object()
 _FRAME_HEADER_BYTES = struct.calcsize("!IB")
 
 
-def issue_ticket_grant(front_end, record, peer: str) -> Optional[TicketGrant]:
-    """Grant a resumption ticket for one successful agreement.
-
-    Shared by both front ends: when the session ended ``ESTABLISHED``
-    with a key on the record, derive the resumption secret
-    (:func:`derive_resume_secret` — the agreed key itself is never
-    stored), register it in the front end's :class:`KeyStore`, and
-    build the :class:`TicketGrant` to send ahead of the verdict.
-    Returns ``None`` for any non-resumable outcome.
-    """
-    key = getattr(record, "key", None)
-    if record.state is not SessionState.ESTABLISHED or key is None:
-        return None
-    ticket = front_end.key_store.issue(
-        derive_resume_secret(key.to_bytes()),
-        peer=peer,
-        metadata={"session_id": record.session_id},
-    )
-    front_end.metrics.counter("access.grants").inc()
-    front_end.events.emit(
-        "access_ticket_granted", peer=peer, ticket_id=ticket.ticket_id,
-        lifetime_s=ticket.lifetime_s,
-    )
-    return TicketGrant(
-        ticket_id=ticket.ticket_id,
-        expires_at=time.time() + ticket.lifetime_s,
-        lifetime_s=ticket.lifetime_s,
-    )
-
-
-def answer_revocation(front_end, notice: RevokeNotice):
-    """Decide one :class:`RevokeNotice`; returns the reply message.
-
-    Only a holder of the ticket's revocation key (derived from the
-    agreed key) can revoke; the reply is a ``RoundResult`` ack on
-    success and a typed :class:`ErrorFrame` otherwise.
-    """
-    metrics = front_end.metrics
-    ticket = front_end.key_store.peek(notice.ticket_id)
-    if ticket is None:
-        metrics.counter(
-            "access.revocations", labels={"outcome": "unknown"}
-        ).inc()
-        return ErrorFrame(
-            "ticket_unknown", f"no live ticket {notice.ticket_id}"
-        )
-    if not verify_revocation_tag(
-        ticket.resume_secret, ticket.ticket_id, notice.tag
-    ):
-        metrics.counter(
-            "access.revocations", labels={"outcome": "bad_tag"}
-        ).inc()
-        front_end.events.emit(
-            "access_revoke_rejected", ticket_id=notice.ticket_id,
-            reason="bad_tag",
-        )
-        return ErrorFrame(
-            "revoke_auth",
-            "revocation tag mismatch: peer does not hold the ticket key",
-        )
-    front_end.key_store.revoke(notice.ticket_id)
-    metrics.counter("access.revocations", labels={"outcome": "ok"}).inc()
-    front_end.events.emit("access_revoked", ticket_id=notice.ticket_id)
-    return RoundResult(success=True, reason="revoked")
-
-
-def answer_replication(front_end, message):
-    """Decide one ``REPL_*`` first-frame; returns the reply message.
-
-    Shared by both front ends: delegates to the attached
-    :class:`~repro.replica.replicator.Replicator` (non-blocking), or
-    refuses with a typed ``replication_disabled`` error so a
-    misdirected peer learns immediately rather than timing out.
-    """
-    replicator = getattr(front_end, "replicator", None)
-    if replicator is None:
-        front_end.metrics.counter(
-            "replica.requests", labels={"outcome": "disabled"}
-        ).inc()
-        return ErrorFrame(
-            "replication_disabled",
-            f"backend {front_end.name} does not replicate ticket state",
-        )
-    return replicator.handle(message)
-
-
-def backend_stats_response(front_end) -> StatsResponse:
-    """The wire stats document for one backend front end.
-
-    Answered in place of an :class:`Accept` when a peer's first frame
-    is a :class:`StatsRequest` — the cluster gateway's health probe and
-    metrics scrape in one round trip.  Carries the front end's identity
-    and session count, the access server's live admission-queue
-    pressure, and a full metrics-registry snapshot for fleet merging.
-    """
-    access = front_end.access_server
-    depth, capacity = access.queue_state()
-    document = {
-        "role": "backend",
-        "name": front_end.name,
-        "sessions_served": front_end.sessions_served,
-        "queue_depth": depth,
-        "queue_capacity": capacity,
-        "snapshot": access.metrics.snapshot(),
-    }
-    return StatsResponse(payload_json=json.dumps(document, default=str))
-
-
-def backend_telemetry_response(
-    front_end, drain: bool = False
-) -> TelemetryResponse:
-    """The wire telemetry document for one backend front end.
-
-    Answered in place of an :class:`Accept` when a peer's first frame
-    is a :class:`TelemetryRequest` — the distributed-trace scrape.
-    Flushes the front end's :class:`~repro.obs.collect.TelemetryBuffer`
-    (finished spans + recent events, stamped with the service identity)
-    and serializes its document; ``drain`` clears the buffer so a
-    periodic scraper sees each span exactly once.  Front ends without a
-    buffer answer an empty document so scrapers need no special-casing.
-    """
-    telemetry = front_end.telemetry
-    if telemetry is None:
-        document = {
-            "schema": "repro.telemetry/1",
-            "service": front_end.name,
-            "spans": [],
-            "events": [],
-            "dropped_spans": 0,
-            "dropped_events": 0,
-        }
-    else:
-        telemetry.flush()
-        document = telemetry.document(drain=drain)
-    return TelemetryResponse(
-        payload_json=json.dumps(document, default=str)
-    )
-
-
 class _NetAgreement:
     """Server half of the Fig. 4 exchange over one client connection.
 
@@ -279,10 +134,9 @@ class _NetAgreement:
     with the freshly encoded seeds.  Each call runs one wire round:
     seed grant, the three OT messages in both directions, the
     reconciliation challenge, the HMAC confirmation, and the mutual
-    confirmation ack.  ``conn`` is anything with the
-    :class:`FrameConnection` send/recv contract — the real socket
-    wrapper (threaded server) or a :class:`_WorkerChannel` bridging to
-    the event loop.
+    confirmation ack.  ``conn`` is the connection's
+    :class:`_WorkerChannel`, which bridges the worker to the event loop
+    behind a blocking ``send``/``recv`` pair.
     """
 
     #: Network waits must not serialize other sessions' compute: the
@@ -449,8 +303,8 @@ class _WorkerChannel:
     """The protocol worker's :class:`FrameConnection`-shaped view of one
     event-loop connection: ``recv`` blocks on the inbox the loop fills,
     ``send`` appends encoded bytes to the outbound buffer and wakes the
-    loop.  All failures keep the typed-transport-error contract so
-    :class:`_NetAgreement` is byte-for-byte reusable."""
+    loop.  All failures surface as typed transport errors, which
+    :class:`_NetAgreement` maps onto failed rounds."""
 
     def __init__(self, conn: "_ClientConn"):
         self._conn = conn
@@ -531,10 +385,8 @@ class _ClientConn:
 class WaveKeyTCPServer:
     """Event-loop TCP front end over an access server.
 
-    Public surface (constructor, ``start``/``stop``/context manager,
-    ``address``, ``sessions_served``, ``metrics``, ``events``) matches
-    the original threaded server, so clients, tests, and the CLI are
-    agnostic to which front end is running.
+    Public surface: the constructor, ``start``/``stop``/context manager,
+    ``address``, ``sessions_served``, ``metrics`` and ``events``.
     """
 
     def __init__(
@@ -586,6 +438,18 @@ class WaveKeyTCPServer:
         self.sessions_served = 0
         self.address: Optional[Tuple[str, int]] = None
         self._labels = {"endpoint": "server"}
+        # First-frame dispatch.  A handler returns the reply to send
+        # before closing, or None when it keeps the connection open.
+        self._first_frame_handlers = {
+            Hello: self._start_session,
+            ResumeRequest: self._resume,
+            RevokeNotice: self._revoke,
+            StatsRequest: self._stats,
+            TelemetryRequest: self._telemetry,
+            ReplDigest: self._replicate,
+            ReplPull: self._replicate,
+            ReplPush: self._replicate,
+        }
 
     @property
     def metrics(self):
@@ -624,8 +488,7 @@ class WaveKeyTCPServer:
             # attachment waits for the listen socket.
             self.replicator.attach(self)
         self.events.emit(
-            "net_listening", host=self.address[0], port=self.address[1],
-            mode="event-loop",
+            "net_listening", host=self.address[0], port=self.address[1]
         )
         return self
 
@@ -794,7 +657,7 @@ class WaveKeyTCPServer:
             len(frame.payload), time.perf_counter() - start
         )
         if conn.state == _HANDSHAKE:
-            self._handle_hello(conn, message)
+            self._handle_first_frame(conn, message)
         elif conn.state == _SECURE:
             self._handle_secure_frame(conn, message)
         else:
@@ -817,8 +680,8 @@ class WaveKeyTCPServer:
         """A single frame failed to decode but the stream is aligned."""
         if conn.state == _AGREEMENT:
             # The worker fails the round ("transport: ...") and the
-            # server's retry policy may grant a fresh one — the
-            # connection survives, matching the threaded front end.
+            # server's retry policy may grant a fresh one, so the
+            # connection survives.
             conn.inbox.put(exc)
             return
         self._transport_error(conn, exc)
@@ -834,61 +697,37 @@ class WaveKeyTCPServer:
 
     # -- handshake / verdict state machine (loop thread) -------------------
 
-    def _handle_hello(self, conn: _ClientConn, message) -> None:
-        if isinstance(message, StatsRequest):
-            self.metrics.counter("net.server.stats_requests").inc()
-            self._enqueue(conn, backend_stats_response(self))
-            self._close_after_flush(conn)
-            return
-        if isinstance(message, TelemetryRequest):
-            self.metrics.counter("net.server.telemetry_requests").inc()
-            self._enqueue(
-                conn, backend_telemetry_response(self, drain=message.drain)
+    def _handle_first_frame(self, conn: _ClientConn, message) -> None:
+        handler = self._first_frame_handlers.get(type(message))
+        if handler is None:
+            reply = ErrorFrame(
+                "protocol", f"expected HELLO, got {type(message).__name__}"
             )
-            self._close_after_flush(conn)
-            return
-        if isinstance(message, ResumeRequest):
-            self._handle_resume(conn, message)
-            return
-        if isinstance(message, RevokeNotice):
-            self._enqueue(conn, answer_revocation(self, message))
-            self._close_after_flush(conn)
-            return
-        if isinstance(message, (ReplDigest, ReplPull, ReplPush)):
-            self._enqueue(conn, answer_replication(self, message))
-            self._close_after_flush(conn)
-            return
-        if not isinstance(message, Hello):
-            self._enqueue(conn, ErrorFrame(
-                "protocol",
-                f"expected HELLO, got {type(message).__name__}",
-            ))
-            self._close_after_flush(conn)
-            return
-        if message.version != PROTOCOL_VERSION:
-            self._enqueue(conn, ErrorFrame(
+        elif message.version != PROTOCOL_VERSION:
+            reply = ErrorFrame(
                 "version",
                 f"server speaks protocol {PROTOCOL_VERSION}, "
                 f"client sent {message.version}",
-            ))
+            )
+        else:
+            reply = handler(conn, message)
+        if reply is not None:
+            self._enqueue(conn, reply)
             self._close_after_flush(conn)
-            return
+
+    def _start_session(self, conn: _ClientConn, message: Hello):
         if not message.sender or message.sender == self.name:
-            self._enqueue(conn, ErrorFrame(
+            return ErrorFrame(
                 "identity", f"invalid client identity {message.sender!r}"
-            ))
-            self._close_after_flush(conn)
-            return
+            )
         served_group = self.access_server.agreement_config.group
         requested_group = message.group_id or WAVEKEY_GROUP_512.name
         if requested_group != served_group.name:
-            self._enqueue(conn, ErrorFrame(
+            return ErrorFrame(
                 GroupMismatch.wire_code,
                 f"server runs OT group {served_group.name!r}, "
                 f"client requested {requested_group!r}",
-            ))
-            self._close_after_flush(conn)
-            return
+            )
 
         conn.peer = message.sender
         conn.hello_at = time.monotonic()
@@ -906,16 +745,14 @@ class WaveKeyTCPServer:
         try:
             ticket = self.access_server.submit(request)
         except ServiceError as exc:
-            self._enqueue(conn, ErrorFrame("unavailable", str(exc)))
-            self._close_after_flush(conn)
-            return
+            return ErrorFrame("unavailable", str(exc))
         conn.ticket = ticket
 
         if ticket.done():
             record = ticket.result(timeout=0.1)
             if record.state is SessionState.SHED:
                 self._send_shed(conn, record)
-                return
+                return None
 
         config = self.access_server.agreement_config
         self._enqueue(conn, Accept(
@@ -925,7 +762,7 @@ class WaveKeyTCPServer:
             eta=config.eta,
         ))
         if conn.closed or conn.state == _CLOSING:
-            return  # the accept itself overflowed: connection is shedding
+            return None  # the accept itself overflowed: connection is shedding
         conn.state = _AGREEMENT
         if conn.deadline is not None:
             conn.deadline.cancel()
@@ -944,20 +781,13 @@ class WaveKeyTCPServer:
                 self._deliver_verdict, c, record
             )
         )
+        return None
 
-    def _handle_resume(self, conn: _ClientConn, message: ResumeRequest) -> None:
-        """First-frame ticket resumption: no gesture, no OT — straight
-        to a secure channel if the ticket is alive."""
+    def _resume(self, conn: _ClientConn, message: ResumeRequest):
+        """Ticket resumption: no gesture, no OT — straight to a secure
+        channel if the ticket is alive."""
         resume_start = time.monotonic()
         parent = parent_from_context(message.trace_context)
-        if message.version != PROTOCOL_VERSION:
-            self._enqueue(conn, ErrorFrame(
-                "version",
-                f"server speaks protocol {PROTOCOL_VERSION}, "
-                f"client sent {message.version}",
-            ))
-            self._close_after_flush(conn)
-            return
         tracer = resolve_tracer(self.access_server.tracer)
         try:
             with tracer.span(
@@ -985,13 +815,9 @@ class WaveKeyTCPServer:
                 "access_resume_rejected", peer=conn.peername,
                 ticket_id=message.ticket_id, code=exc.wire_code,
             )
-            self._enqueue(conn, ErrorFrame(exc.wire_code, str(exc)))
-            self._close_after_flush(conn)
-            return
+            return ErrorFrame(exc.wire_code, str(exc))
         except AccessError as exc:
-            self._enqueue(conn, ErrorFrame("resume_invalid", str(exc)))
-            self._close_after_flush(conn)
-            return
+            return ErrorFrame("resume_invalid", str(exc))
         conn.peer = message.sender
         conn.access = channel
         conn.trace_parent = parent
@@ -1011,6 +837,94 @@ class WaveKeyTCPServer:
             ticket_id=ticket.ticket_id, channel_id=channel.channel_id,
         )
         self._enqueue(conn, accept)
+        return None
+
+    def _revoke(self, conn: _ClientConn, notice: RevokeNotice):
+        """Only a holder of the ticket's revocation key (derived from
+        the agreed key) can revoke; success is a ``RoundResult`` ack."""
+        metrics = self.metrics
+        ticket = self.key_store.peek(notice.ticket_id)
+        if ticket is None:
+            metrics.counter(
+                "access.revocations", labels={"outcome": "unknown"}
+            ).inc()
+            return ErrorFrame(
+                "ticket_unknown", f"no live ticket {notice.ticket_id}"
+            )
+        if not verify_revocation_tag(
+            ticket.resume_secret, ticket.ticket_id, notice.tag
+        ):
+            metrics.counter(
+                "access.revocations", labels={"outcome": "bad_tag"}
+            ).inc()
+            self.events.emit(
+                "access_revoke_rejected", ticket_id=notice.ticket_id,
+                reason="bad_tag",
+            )
+            return ErrorFrame(
+                "revoke_auth",
+                "revocation tag mismatch: peer does not hold the ticket key",
+            )
+        self.key_store.revoke(notice.ticket_id)
+        metrics.counter("access.revocations", labels={"outcome": "ok"}).inc()
+        self.events.emit("access_revoked", ticket_id=notice.ticket_id)
+        return RoundResult(success=True, reason="revoked")
+
+    def _replicate(self, conn: _ClientConn, message):
+        """Delegate a ``REPL_*`` frame to the attached replicator
+        (non-blocking), or refuse with a typed ``replication_disabled``
+        error so a misdirected peer learns immediately rather than
+        timing out."""
+        if self.replicator is None:
+            self.metrics.counter(
+                "replica.requests", labels={"outcome": "disabled"}
+            ).inc()
+            return ErrorFrame(
+                "replication_disabled",
+                f"backend {self.name} does not replicate ticket state",
+            )
+        return self.replicator.handle(message)
+
+    def _stats(self, conn: _ClientConn, message: StatsRequest):
+        """The cluster gateway's health probe and metrics scrape in one
+        round trip: identity, session count, live admission-queue
+        pressure, and a full registry snapshot for fleet merging."""
+        self.metrics.counter("net.server.stats_requests").inc()
+        access = self.access_server
+        depth, capacity = access.queue_state()
+        document = {
+            "role": "backend",
+            "name": self.name,
+            "sessions_served": self.sessions_served,
+            "queue_depth": depth,
+            "queue_capacity": capacity,
+            "snapshot": access.metrics.snapshot(),
+        }
+        return StatsResponse(payload_json=json.dumps(document, default=str))
+
+    def _telemetry(self, conn: _ClientConn, message: TelemetryRequest):
+        """The distributed-trace scrape: flush the
+        :class:`~repro.obs.collect.TelemetryBuffer` (finished spans +
+        recent events, stamped with the service identity) and serialize
+        its document; ``drain`` clears the buffer so a periodic scraper
+        sees each span exactly once.  Without a buffer the answer is an
+        empty document, so scrapers need no special-casing."""
+        self.metrics.counter("net.server.telemetry_requests").inc()
+        if self.telemetry is None:
+            document = {
+                "schema": "repro.telemetry/1",
+                "service": self.name,
+                "spans": [],
+                "events": [],
+                "dropped_spans": 0,
+                "dropped_events": 0,
+            }
+        else:
+            self.telemetry.flush()
+            document = self.telemetry.document(drain=message.drain)
+        return TelemetryResponse(
+            payload_json=json.dumps(document, default=str)
+        )
 
     def _arm_secure_idle(self, conn: _ClientConn) -> None:
         if conn.deadline is not None:
@@ -1099,9 +1013,9 @@ class WaveKeyTCPServer:
             self.metrics.histogram("net.session.latency").observe(
                 time.monotonic() - conn.hello_at, trace_id=trace_id
             )
-        grant = issue_ticket_grant(self, record, conn.peer)
-        if grant is not None:
-            self._enqueue(conn, grant)
+        key = getattr(record, "key", None)
+        if record.state is SessionState.ESTABLISHED and key is not None:
+            self._enqueue(conn, self._grant_ticket(key, record, conn.peer))
         self._enqueue(conn, Verdict(
             state=record.state.value,
             attempts=record.attempts,
@@ -1109,6 +1023,28 @@ class WaveKeyTCPServer:
             session_id=record.session_id,
         ))
         self._close_after_flush(conn)
+
+    def _grant_ticket(self, key, record, peer: str) -> TicketGrant:
+        """Register a resumption ticket for one established session.
+
+        Only the resumption secret derived from the agreed key
+        (:func:`derive_resume_secret`) is stored, never the key itself.
+        """
+        ticket = self.key_store.issue(
+            derive_resume_secret(key.to_bytes()),
+            peer=peer,
+            metadata={"session_id": record.session_id},
+        )
+        self.metrics.counter("access.grants").inc()
+        self.events.emit(
+            "access_ticket_granted", peer=peer, ticket_id=ticket.ticket_id,
+            lifetime_s=ticket.lifetime_s,
+        )
+        return TicketGrant(
+            ticket_id=ticket.ticket_id,
+            expires_at=time.time() + ticket.lifetime_s,
+            lifetime_s=ticket.lifetime_s,
+        )
 
     def _verdict_timeout(
         self, conn: _ClientConn, budget: float, session_id: str
@@ -1211,385 +1147,3 @@ class WaveKeyTCPServer:
         self._conns.discard(conn)
         conn.inbox.put(_CLOSED)
         self.metrics.gauge("net.conn.open").dec()
-
-
-# -- threaded front end (baseline) ---------------------------------------------
-
-
-class ThreadedWaveKeyTCPServer:
-    """Accept loop + per-connection handler threads over an access
-    server — the original front end, kept as the latency baseline for
-    the scaling benchmarks and behind ``repro serve --no-event-loop``.
-    Every connection costs one OS thread for its whole lifetime."""
-
-    def __init__(
-        self,
-        access_server: WaveKeyAccessServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        name: str = "server",
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        read_timeout_s: float = 10.0,
-        handshake_timeout_s: float = 5.0,
-        verdict_grace_s: float = 10.0,
-        key_store: Optional[KeyStore] = None,
-        op_handler=default_op_handler,
-        secure_idle_timeout_s: float = 30.0,
-        telemetry=None,
-        telemetry_flush_interval_s: float = 1.0,
-        replicator=None,
-    ):
-        self.access_server = access_server
-        self.name = name
-        self.max_frame_bytes = int(max_frame_bytes)
-        self.read_timeout_s = float(read_timeout_s)
-        self.handshake_timeout_s = float(handshake_timeout_s)
-        self.verdict_grace_s = float(verdict_grace_s)
-        # explicit None-check: an empty KeyStore is falsy (__len__)
-        self.key_store = (
-            key_store
-            if key_store is not None
-            else KeyStore(metrics=access_server.metrics)
-        )
-        self.replicator = replicator
-        self.op_handler = op_handler
-        self.secure_idle_timeout_s = float(secure_idle_timeout_s)
-        self.telemetry = telemetry
-        self.telemetry_flush_interval_s = float(telemetry_flush_interval_s)
-        self._telemetry_deadline = None
-        self._host = host
-        self._port = port
-        self._sock: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._handlers: list = []
-        self._conns: set = set()
-        self._lock = threading.Lock()
-        self._running = False
-        self.sessions_served = 0
-        self.address: Optional[Tuple[str, int]] = None
-
-    @property
-    def metrics(self):
-        return self.access_server.metrics
-
-    @property
-    def events(self):
-        return self.access_server.events
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "ThreadedWaveKeyTCPServer":
-        if self._running:
-            raise ServiceError("TCP server already started")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(128)
-        self._sock = sock
-        self.address = sock.getsockname()[:2]
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="wavekey-net-accept", daemon=True
-        )
-        self._accept_thread.start()
-        if self.replicator is not None:
-            self.replicator.attach(self)
-        self.events.emit(
-            "net_listening", host=self.address[0], port=self.address[1],
-            mode="threaded",
-        )
-        return self
-
-    def stop(self) -> None:
-        if not self._running:
-            return
-        self._running = False
-        if self.replicator is not None:
-            self.replicator.stop()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=5.0)
-        with self._lock:
-            conns = list(self._conns)
-            handlers = list(self._handlers)
-        for conn in conns:
-            conn.close()
-        for handler in handlers:
-            handler.join(timeout=5.0)
-        self.events.emit("net_stopped", sessions_served=self.sessions_served)
-
-    def __enter__(self) -> "ThreadedWaveKeyTCPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- connection handling -----------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                client_sock, addr = self._sock.accept()
-            except OSError:
-                return  # listener closed by stop()
-            handler = threading.Thread(
-                target=self._handle,
-                args=(client_sock, addr),
-                name=f"wavekey-net-{addr[0]}:{addr[1]}",
-                daemon=True,
-            )
-            with self._lock:
-                self._handlers.append(handler)
-                self._handlers = [
-                    t for t in self._handlers if t.is_alive() or t is handler
-                ]
-            handler.start()
-
-    def _handle(self, client_sock: socket.socket, addr) -> None:
-        conn = FrameConnection(
-            client_sock,
-            max_frame_bytes=self.max_frame_bytes,
-            read_timeout_s=self.read_timeout_s,
-            metrics=self.metrics,
-            endpoint="server",
-        )
-        with self._lock:
-            self._conns.add(conn)
-        try:
-            self._converse(conn, addr)
-        except TransportError as exc:
-            self.metrics.counter(
-                "net.server.transport_errors"
-            ).inc()
-            self.events.emit(
-                "net_transport_error", peer=f"{addr[0]}:{addr[1]}",
-                error=str(exc),
-            )
-        except Exception as exc:  # noqa: BLE001 — never kill the handler
-            self.events.emit(
-                "net_handler_error", peer=f"{addr[0]}:{addr[1]}",
-                error=repr(exc),
-            )
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
-            conn.close()
-
-    def _converse(self, conn: FrameConnection, addr) -> None:
-        hello = conn.recv(timeout_s=self.handshake_timeout_s)
-        if isinstance(hello, StatsRequest):
-            self.metrics.counter("net.server.stats_requests").inc()
-            conn.send(backend_stats_response(self))
-            return
-        if isinstance(hello, TelemetryRequest):
-            self.metrics.counter("net.server.telemetry_requests").inc()
-            conn.send(backend_telemetry_response(self, drain=hello.drain))
-            return
-        if isinstance(hello, ResumeRequest):
-            self._converse_secure(conn, hello)
-            return
-        if isinstance(hello, RevokeNotice):
-            conn.send(answer_revocation(self, hello))
-            return
-        if isinstance(hello, (ReplDigest, ReplPull, ReplPush)):
-            conn.send(answer_replication(self, hello))
-            return
-        if not isinstance(hello, Hello):
-            conn.send(ErrorFrame(
-                "protocol",
-                f"expected HELLO, got {type(hello).__name__}",
-            ))
-            return
-        if hello.version != PROTOCOL_VERSION:
-            conn.send(ErrorFrame(
-                "version",
-                f"server speaks protocol {PROTOCOL_VERSION}, "
-                f"client sent {hello.version}",
-            ))
-            return
-        if not hello.sender or hello.sender == self.name:
-            conn.send(ErrorFrame(
-                "identity", f"invalid client identity {hello.sender!r}"
-            ))
-            return
-        served_group = self.access_server.agreement_config.group
-        requested_group = hello.group_id or WAVEKEY_GROUP_512.name
-        if requested_group != served_group.name:
-            conn.send(ErrorFrame(
-                GroupMismatch.wire_code,
-                f"server runs OT group {served_group.name!r}, "
-                f"client requested {requested_group!r}",
-            ))
-            return
-
-        hello_at = time.monotonic()
-        trace_parent = parent_from_context(hello.trace_context)
-        agreement = _NetAgreement(
-            conn, peer=hello.sender, server_name=self.name,
-            pool=self.access_server.ot_pool,
-        )
-        request = AccessRequest(
-            rng_seed=hello.rng_seed,
-            dynamic=hello.dynamic,
-            agreement_fn=agreement,
-            trace_context=trace_parent,
-        )
-        try:
-            ticket = self.access_server.submit(request)
-        except ServiceError as exc:
-            conn.send(ErrorFrame("unavailable", str(exc)))
-            return
-
-        if ticket.done():
-            record = ticket.result(timeout=0.1)
-            if record.state is SessionState.SHED:
-                # Structured load shedding, mapped to a wire error frame.
-                rejection = record.rejection
-                conn.send(ErrorFrame(
-                    "busy",
-                    f"{rejection.code}: queue "
-                    f"{rejection.queue_depth}/{rejection.queue_capacity}",
-                ))
-                self.metrics.counter("net.server.shed").inc()
-                return
-
-        config = self.access_server.agreement_config
-        conn.send(Accept(
-            sender=self.name,
-            session_id=request.session_id,
-            key_length_bits=config.key_length_bits,
-            eta=config.eta,
-        ))
-
-        budget = (
-            self.access_server.config.session_deadline_s
-            + self.verdict_grace_s
-        )
-        try:
-            record = ticket.result(timeout=budget)
-        except ServiceError as exc:
-            conn.send(ErrorFrame("timeout", str(exc)))
-            return
-        # Count before sending: a client acting on the verdict must
-        # never observe a stale sessions_served.
-        with self._lock:
-            self.sessions_served += 1
-        self.metrics.counter("net.server.sessions").inc()
-        self.metrics.histogram("net.session.latency").observe(
-            time.monotonic() - hello_at,
-            trace_id=(
-                trace_parent.trace_id
-                if trace_parent is not None
-                else getattr(
-                    getattr(record, "trace", None), "trace_id", None
-                )
-            ),
-        )
-        grant = issue_ticket_grant(self, record, hello.sender)
-        if grant is not None:
-            conn.send(grant)
-        conn.send(Verdict(
-            state=record.state.value,
-            attempts=record.attempts,
-            reason=record.failure_reason or "",
-            session_id=record.session_id,
-        ))
-
-    def _converse_secure(
-        self, conn: FrameConnection, request: ResumeRequest
-    ) -> None:
-        """Blocking secure-channel conversation (threaded parity with
-        the event-loop server's ``_SECURE`` state)."""
-        resume_start = time.monotonic()
-        parent = parent_from_context(request.trace_context)
-        if request.version != PROTOCOL_VERSION:
-            conn.send(ErrorFrame(
-                "version",
-                f"server speaks protocol {PROTOCOL_VERSION}, "
-                f"client sent {request.version}",
-            ))
-            return
-        tracer = resolve_tracer(self.access_server.tracer)
-        try:
-            with tracer.span(
-                "access.resume.accept", parent=parent,
-                peer=request.sender, ticket_id=request.ticket_id,
-            ):
-                ticket = self.key_store.resume(request.ticket_id)
-                channel, accept = ServerAccessChannel.accept(
-                    ticket,
-                    request.client_nonce,
-                    handler=self.op_handler,
-                    metrics=self.metrics,
-                    sender=self.name,
-                )
-        except TicketError as exc:
-            self.metrics.counter(
-                "access.resume", labels={"outcome": exc.wire_code}
-            ).inc()
-            if self.replicator is not None and isinstance(exc, TicketUnknown):
-                self.metrics.counter("replica.resume.miss").inc()
-            self.events.emit(
-                "access_resume_rejected", ticket_id=request.ticket_id,
-                code=exc.wire_code,
-            )
-            conn.send(ErrorFrame(exc.wire_code, str(exc)))
-            return
-        except AccessError as exc:
-            conn.send(ErrorFrame("resume_invalid", str(exc)))
-            return
-        channel.trace_parent = parent
-        channel.tracer = tracer
-        self.metrics.counter(
-            "access.resume", labels={"outcome": "ok"}
-        ).inc()
-        self.metrics.histogram("access.resume.latency").observe(
-            time.monotonic() - resume_start,
-            trace_id=parent.trace_id if parent is not None else None,
-        )
-        self.events.emit(
-            "access_resumed", ticket_id=ticket.ticket_id,
-            channel_id=channel.channel_id,
-        )
-        conn.send(accept)
-        while True:
-            try:
-                message = conn.recv(timeout_s=self.secure_idle_timeout_s)
-            except ConnectionTimeout:
-                self.metrics.counter("access.idle_timeouts").inc()
-                conn.send(ErrorFrame(
-                    "timeout",
-                    "secure channel idle for "
-                    f"{self.secure_idle_timeout_s:.1f}s",
-                ))
-                return
-            except ConnectionClosed:
-                return
-            if not isinstance(message, RecordFrame):
-                conn.send(ErrorFrame(
-                    "protocol",
-                    f"expected RECORD, got {type(message).__name__}",
-                ))
-                return
-            start = time.perf_counter()
-            try:
-                reply = channel.handle_record(message)
-            except RecordRejected as exc:
-                self.metrics.counter("access.records_rejected").inc()
-                self.events.emit(
-                    "access_record_rejected", error=str(exc)
-                )
-                conn.send(ErrorFrame("record_rejected", str(exc)))
-                return
-            except AccessError as exc:
-                conn.send(ErrorFrame("access", str(exc)))
-                return
-            self.metrics.histogram("access.op_s").observe(
-                time.perf_counter() - start
-            )
-            if reply is None:  # orderly "bye"
-                return
-            conn.send(reply)

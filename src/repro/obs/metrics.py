@@ -1,7 +1,6 @@
 """Labeled metrics: counters, gauges, histograms, and a registry.
 
-Generalizes the original ``repro.service.metrics`` primitives so the
-service layer and the core pipeline share one registry:
+One registry shared by the service layer and the core pipeline:
 
 * every metric may carry a fixed **label set** (``{"encoder": "imu_en"}``)
   — the registry memoizes one series per ``(name, labels)`` pair;

@@ -15,7 +15,6 @@ from repro.cluster import (
 )
 from repro.errors import TicketRevoked, TicketUnknown
 from repro.net import NetClientConfig, WaveKeyNetClient
-from repro.net.server import ThreadedWaveKeyTCPServer
 
 from tests.cluster.conftest import Fleet
 
@@ -243,14 +242,6 @@ class TestFleetStats:
             series.startswith("cluster.session_s")
             for series in merged["histograms"]
         )
-
-    def test_threaded_front_end_answers_stats(self, fleet, tiny_bundle):
-        access, _ = fleet.backends[0]
-        threaded = ThreadedWaveKeyTCPServer(access, "127.0.0.1", 0)
-        with threaded:
-            doc = fetch_stats(*threaded.address)
-        assert doc["role"] == "backend"
-        assert "snapshot" in doc
 
 
 class TestMembership:

@@ -9,13 +9,23 @@ import socket
 
 import pytest
 
-from repro.errors import ProtocolError, TransportError
+from repro.errors import ConnectionClosed, ProtocolError, TransportError
 from repro.net import (
     NetClientConfig,
     WaveKeyNetClient,
     WaveKeyTCPServer,
 )
-from repro.net.codec import Hello
+from repro.net.codec import (
+    Hello,
+    ReplDigest,
+    ReplPull,
+    ReplPush,
+    ResumeRequest,
+    RevokeNotice,
+    SeedGrant,
+    StatsRequest,
+    TelemetryRequest,
+)
 from repro.net.connection import FrameConnection, connect
 from repro.obs import MetricsRegistry, Tracer
 from repro.protocol.agreement import KeyAgreementConfig
@@ -151,17 +161,43 @@ def test_spoofed_protocol_sender_is_rejected(tiny_bundle):
     assert "sender mismatch" in result.reason
 
 
-def test_version_mismatch_rejected(tiny_bundle):
+FIRST_FRAMES_FROM_THE_FUTURE = [
+    Hello(sender="mobile", rng_seed=1, version=99),
+    ResumeRequest(
+        sender="mobile", ticket_id="00" * 16, client_nonce=b"\x01" * 16,
+        version=99,
+    ),
+    RevokeNotice(ticket_id="00" * 16, tag=b"\x02" * 32, version=99),
+    StatsRequest(version=99),
+    TelemetryRequest(version=99),
+    ReplDigest(sender="probe", payload_json="{}", version=99),
+    ReplPull(sender="probe", payload_json="{}", version=99),
+    ReplPush(sender="probe", payload_json="{}", version=99),
+]
+
+
+@pytest.mark.parametrize("first_frame, code", [
+    pytest.param(frame, code, id=type(frame).__name__)
+    for frame, code in [
+        *((frame, "version") for frame in FIRST_FRAMES_FROM_THE_FUTURE),
+        (SeedGrant(attempt=1, seed=matched_seed()), "protocol"),
+    ]
+])
+def test_version_mismatch_rejected(tiny_bundle, first_frame, code):
+    """Every first-frame type is version-checked before it is acted
+    on; a session frame opening a connection is a protocol error."""
     with make_access_server(tiny_bundle) as access:
         with WaveKeyTCPServer(access, read_timeout_s=5.0) as tcp:
             host, port = tcp.address
             conn = connect(host, port, read_timeout_s=5.0)
             try:
-                conn.send(Hello(sender="mobile", rng_seed=1, version=99))
+                conn.send(first_frame)
                 error = conn.recv()
+                with pytest.raises(ConnectionClosed):
+                    conn.recv()
             finally:
                 conn.close()
-    assert error.code == "version"
+    assert error.code == code
 
 
 def test_client_identity_cannot_claim_server_name(tiny_bundle):

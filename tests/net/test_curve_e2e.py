@@ -2,26 +2,21 @@
 
 The same loopback scenarios the MODP stack is tested with, run with
 both parties configured for the elliptic-curve group: the event-loop
-front end, the threaded front end, the sharding gateway splice, and
-the typed rejection when client and server disagree on the group.
+front end, the sharding gateway splice, and the typed rejection when
+client and server disagree on the group.
 """
 
 import pytest
 
 from repro.crypto import CURVE25519_GROUP
 from repro.errors import GroupMismatch
-from repro.net import (
-    NetClientConfig,
-    ThreadedWaveKeyTCPServer,
-    WaveKeyNetClient,
-    WaveKeyTCPServer,
-)
+from repro.net import NetClientConfig, WaveKeyNetClient, WaveKeyTCPServer
 from repro.protocol import KeyAgreementConfig
 
 from tests.net.conftest import make_access_server, matched_seed, pin_seeds
 
-FRONT_ENDS = [WaveKeyTCPServer, ThreadedWaveKeyTCPServer]
-FRONT_END_IDS = ["eventloop", "threaded"]
+FRONT_ENDS = [WaveKeyTCPServer]
+FRONT_END_IDS = ["eventloop"]
 
 CURVE_CFG = NetClientConfig(
     group=CURVE25519_GROUP, read_timeout_s=5.0, max_retries=1,
@@ -92,7 +87,7 @@ def test_curve_establishment_through_gateway(tiny_bundle):
         tiny_bundle, agreement_config=curve_agreement(tiny_bundle)
     ) as access:
         pin_seeds(access, matched_seed())
-        with ThreadedWaveKeyTCPServer(access, read_timeout_s=5.0) as tcp:
+        with WaveKeyTCPServer(access, read_timeout_s=5.0) as tcp:
             backend = f"{tcp.address[0]}:{tcp.address[1]}"
             with WaveKeyGateway(
                 [backend], probe_interval_s=0.2, connect_timeout_s=2.0,

@@ -32,7 +32,6 @@ from repro.net.codec import (
     RevokeNotice,
 )
 from repro.net.connection import connect
-from repro.net.server import ThreadedWaveKeyTCPServer
 from repro.obs import MetricsRegistry, Tracer
 
 from tests.net.conftest import make_access_server, matched_seed, pin_seeds
@@ -109,19 +108,6 @@ def test_establish_resume_ops_revoke(tiny_bundle):
     assert server_counters["access.grants"] == 1
     assert server_counters['access.resume{outcome="ok"}'] == 2
     assert server_counters['access.ops{op="query",role="server"}'] == 1
-
-
-def test_threaded_server_resumes_too(tiny_bundle):
-    """The baseline threaded front end speaks the same access flow."""
-    with make_access_server(tiny_bundle) as access:
-        pin_seeds(access, matched_seed())
-        with ThreadedWaveKeyTCPServer(access) as tcp:
-            client, result = establish_with_ticket(tcp)
-            with client.open_channel(result.ticket) as channel:
-                assert channel.request("query")["allowed"] is True
-            assert client.revoke(result.ticket) is True
-            with pytest.raises(TicketRevoked):
-                client.open_channel(result.ticket)
 
 
 def test_unknown_ticket_rejected(tiny_bundle):

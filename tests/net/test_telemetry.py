@@ -13,7 +13,6 @@ import pytest
 
 from repro.cluster.stats import fetch_telemetry
 from repro.net import NetClientConfig, WaveKeyNetClient, WaveKeyTCPServer
-from repro.net.server import ThreadedWaveKeyTCPServer
 from repro.obs import TelemetryBuffer, Tracer, format_stitched, stitch
 from repro.obs.collect import TELEMETRY_SCHEMA
 from repro.service import ServiceConfig, WaveKeyAccessServer
@@ -111,30 +110,6 @@ def test_resume_continues_client_trace(traced_access):
     op = server_spans["access.op"]
     assert op["parent_id"] == resume_root.span_id
     assert op["attributes"]["op"] == "ping"
-
-
-def test_threaded_server_continues_trace_too(tiny_bundle):
-    server_tracer = Tracer()
-    access = WaveKeyAccessServer(
-        tiny_bundle, ServiceConfig(workers=2),
-        acquire_fn=fixed_acquire, tracer=server_tracer,
-    )
-    pin_seeds(access, matched_seed())
-    client_tracer = Tracer()
-    telemetry = TelemetryBuffer("backend", tracer=server_tracer)
-    with access, ThreadedWaveKeyTCPServer(
-        access, telemetry=telemetry
-    ) as tcp:
-        host, port = tcp.address
-        client = WaveKeyNetClient(
-            host, port, CLIENT_CFG, tracer=client_tracer
-        )
-        assert client.establish(rng_seed=11).success
-
-    root = spans_by_name(client_tracer)["net.establish"]
-    doc = wait_for_buffered_span(telemetry, "session")
-    sessions = [s for s in doc["spans"] if s["name"] == "session"]
-    assert sessions and sessions[0]["trace_id"] == root.trace_id
 
 
 def test_telemetry_scrape_over_wire_and_drain(traced_access):

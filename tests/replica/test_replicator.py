@@ -1,10 +1,12 @@
-"""Replicator engine tests at the frame level (no sockets).
+"""Replicator engine tests at the frame level.
 
 Two engines exchange ``REPL_*`` frames through :meth:`Replicator.handle`
-exactly as the front ends dispatch them, covering the convergence
+exactly as the front end dispatches them, covering the convergence
 scenarios the wire tests cannot isolate: a rejoining node catching up
 via digest pull, two partitions healing to one state, and the refusal
-paths (invalid payloads, replication disabled)."""
+paths (invalid payloads, replication disabled).  One socket per test
+in :class:`TestFrontEndDispatch` pins that the server's first-frame
+dispatch reaches the engine."""
 
 import json
 
@@ -12,10 +14,13 @@ import pytest
 
 from repro.access.store import KeyStore
 from repro.errors import TicketRevoked, TicketUnknown
+from repro.net import WaveKeyTCPServer
 from repro.net.codec import ErrorFrame, ReplDigest, ReplPull, ReplPush
-from repro.net.server import answer_replication
+from repro.net.connection import connect
 from repro.obs.metrics import MetricsRegistry
 from repro.replica import Replicator
+
+from tests.net.conftest import make_access_server
 
 SECRET = b"\x33" * 32
 
@@ -170,28 +175,31 @@ class TestHandleSurface:
 
 
 class TestFrontEndDispatch:
-    class _BareFrontEnd:
-        name = "bare"
-        replicator = None
+    @staticmethod
+    def ask_digest(tcp):
+        conn = connect(*tcp.address, read_timeout_s=5.0)
+        try:
+            conn.send(ReplDigest(sender="probe", payload_json="{}"))
+            return conn.recv()
+        finally:
+            conn.close()
 
-        def __init__(self):
-            self.metrics = MetricsRegistry()
-
-    def test_non_replicating_front_end_refuses(self):
-        front_end = self._BareFrontEnd()
-        reply = answer_replication(
-            front_end, ReplDigest(sender="probe", payload_json="{}")
-        )
+    def test_non_replicating_front_end_refuses(self, tiny_bundle):
+        with make_access_server(tiny_bundle) as access:
+            with WaveKeyTCPServer(access) as tcp:
+                reply = self.ask_digest(tcp)
         assert isinstance(reply, ErrorFrame)
         assert reply.code == "replication_disabled"
-        counters = front_end.metrics.snapshot()["counters"]
+        counters = access.metrics.snapshot()["counters"]
         assert counters['replica.requests{outcome="disabled"}'] == 1
 
-    def test_replicating_front_end_delegates(self, node_factory):
-        _, a = node_factory("127.0.0.1:7001")
-        front_end = self._BareFrontEnd()
-        front_end.replicator = a
-        reply = answer_replication(
-            front_end, ReplDigest(sender="probe", payload_json="{}")
-        )
+    def test_replicating_front_end_delegates(self, tiny_bundle):
+        with make_access_server(tiny_bundle) as access:
+            store = KeyStore(metrics=access.metrics)
+            replicator = Replicator(store, anti_entropy_interval_s=60.0)
+            with WaveKeyTCPServer(
+                access, key_store=store, replicator=replicator
+            ) as tcp:
+                reply = self.ask_digest(tcp)
         assert isinstance(reply, ReplDigest)
+        assert reply.sender == replicator.origin

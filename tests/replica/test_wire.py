@@ -2,7 +2,7 @@
 
 The three ``REPL_*`` frames share one envelope (sender + JSON payload);
 each must survive the full wire loop and decode back to its own type —
-the dispatch in both front ends is ``isinstance``-driven."""
+the front end dispatches first frames by exact type."""
 
 import json
 

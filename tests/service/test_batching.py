@@ -6,8 +6,8 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
+from repro.obs import MetricsRegistry
 from repro.service.batching import MicroBatcher
-from repro.service.metrics import MetricsRegistry
 
 
 def double_all(items):

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.metrics import (
+from repro.obs import (
     Counter,
     EventLog,
     Histogram,
@@ -128,34 +128,6 @@ class TestEventLog:
         log.emit("c")
         assert len(log) == 2
         assert log.dropped == 1
-
-
-class TestDeprecatedShim:
-    def test_service_metrics_aliases_the_obs_package(self):
-        import repro.obs.events
-        import repro.obs.metrics
-        import repro.service.metrics as shim
-
-        assert shim.Counter is repro.obs.metrics.Counter
-        assert shim.Histogram is repro.obs.metrics.Histogram
-        assert shim.MetricsRegistry is repro.obs.metrics.MetricsRegistry
-        assert shim.EventLog is repro.obs.events.EventLog
-
-    def test_import_emits_deprecation_warning(self):
-        # The warning fires at import time; drop the cached module so
-        # a fresh import re-executes the shim body.
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.service.metrics", None)
-        try:
-            with pytest.warns(
-                DeprecationWarning, match="import from repro.obs"
-            ):
-                importlib.import_module("repro.service.metrics")
-        finally:
-            # Leave a cached module behind for any later importer.
-            importlib.import_module("repro.service.metrics")
 
 
 class TestMetricsRegistry:

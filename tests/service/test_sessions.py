@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.metrics import EventLog, MetricsRegistry
+from repro.obs import EventLog, MetricsRegistry
 from repro.service.sessions import (
     AccessRequest,
     RejectionReason,
