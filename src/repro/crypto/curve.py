@@ -31,6 +31,15 @@ inputs.  Wire elements are the canonical 32-byte RFC 8032 encoding
 :func:`decode_point` rejects non-canonical (``y >= p``) and off-curve
 encodings and :meth:`Curve25519Group.decode_element` additionally
 rejects the eight small-order points.
+
+The OT hot path is pure-Python big-int arithmetic, so its costs are
+counted in field multiplications and inversions: inversions use
+CPython's C-level ``pow(z, -1, p)`` (decoding folds its division into
+the square root), variable-base :func:`scalar_mul` uses signed radix-16
+digits over cached points, and the fixed-base :class:`EdwardsComb`
+stores affine rows for 7-multiplication mixed additions.  Every fast
+path is cross-checked against :func:`scalar_mul_naive`, and the wire
+bytes are pinned by ``tests/crypto/test_ot_transcript.py``.
 """
 
 from __future__ import annotations
@@ -111,7 +120,10 @@ def x25519(scalar: bytes, u: bytes) -> bytes:
     if swap:
         x2, x3 = x3, x2
         z2, z3 = z3, z2
-    return (x2 * pow(z2, P - 2, P) % P).to_bytes(32, "little")
+    # z2 == 0 only for the RFC 7748 low-order inputs, whose output is
+    # the all-zero u-coordinate (x2 / 0 read as x2 * 0^(p-2) = 0).
+    out = x2 * pow(z2, -1, P) % P if z2 else 0
+    return out.to_bytes(32, "little")
 
 
 # -- twisted-Edwards points (RFC 8032 s5.1) ------------------------------------
@@ -167,7 +179,7 @@ class EdwardsPoint:
         )
 
     def __hash__(self) -> int:
-        inv_z = pow(self.z, P - 2, P)
+        inv_z = pow(self.z, -1, P)
         return hash((self.x * inv_z % P, self.y * inv_z % P))
 
     def __repr__(self) -> str:
@@ -189,16 +201,16 @@ class EdwardsPoint:
         return (y * y - x * x - z * z - D * t * t % P) % P == 0
 
     def montgomery_u(self) -> int:
-        """The birational map to Montgomery form: ``u = (1+y)/(1-y)``."""
-        inv_z = pow(self.z, P - 2, P)
-        y = self.y * inv_z % P
-        if y == 1:
+        """The birational map to Montgomery form: ``u = (1+y)/(1-y)``,
+        taken projectively as ``(Z+Y)/(Z-Y)`` (one inversion)."""
+        denominator = (self.z - self.y) % P
+        if denominator == 0:
             raise CryptoError("the identity has no Montgomery u-coordinate")
-        return (1 + y) * pow(1 - y, P - 2, P) % P
+        return (self.z + self.y) * pow(denominator, -1, P) % P
 
     def encode(self) -> bytes:
         """Canonical 32-byte encoding: LE ``y``, sign of ``x`` in bit 255."""
-        inv_z = pow(self.z, P - 2, P)
+        inv_z = pow(self.z, -1, P)
         x = self.x * inv_z % P
         y = self.y * inv_z % P
         data = bytearray(y.to_bytes(32, "little"))
@@ -212,19 +224,29 @@ def _identity() -> EdwardsPoint:
 
 
 def _recover_x(y: int, sign: int) -> int:
-    """RFC 8032 s5.1.3 decompression; raises on off-curve encodings."""
-    x2 = (y * y - 1) * pow(D * y * y + 1, P - 2, P) % P
-    if x2 == 0:
+    """RFC 8032 s5.1.3 decompression; raises on off-curve encodings.
+
+    ``x^2 = u/v`` with ``u = y^2 - 1`` and ``v = d y^2 + 1`` (never 0:
+    ``-1/d`` is not a square).  The root candidate
+    ``u v^3 (u v^7)^((p-5)/8)`` folds the division into the square-root
+    exponentiation, so decoding costs one ``pow`` and no inversion.
+    """
+    yy = y * y % P
+    u = (yy - 1) % P
+    if u == 0:
         if sign:
             raise ProtocolError(
                 "invalid curve25519 encoding: x = 0 with sign bit set"
             )
         return 0
-    x = pow(x2, (P + 3) // 8, P)
-    if x * x % P != x2:
+    v = (D * yy + 1) % P
+    v3 = v * v % P * v % P
+    x = u * v3 % P * pow(u * v3 % P * v3 % P * v % P, (P - 5) // 8, P) % P
+    vxx = v * x % P * x % P
+    if vxx != u:
+        if vxx != P - u:
+            raise ProtocolError("curve25519 encoding is not on the curve")
         x = x * SQRT_M1 % P
-    if x * x % P != x2:
-        raise ProtocolError("curve25519 encoding is not on the curve")
     if (x & 1) != sign:
         x = P - x
     return x
@@ -253,8 +275,40 @@ _BASE_X = _recover_x(_BASE_Y, 0)
 BASE_POINT = EdwardsPoint(_BASE_X, _BASE_Y, 1, _BASE_X * _BASE_Y % P)
 
 
+#: ``2d``: the addend factor of the cached-point additions below.
+_D2 = 2 * D % P
+
+#: Low 255 bits.  Since ``2^255 = 19 (mod p)``, the hot loops below
+#: partially reduce a product ``t`` as ``(t & _MASK) + 19 * (t >> 255)``
+#: (congruent, at most a few bits over 255, and about half the cost of
+#: ``t % P``) wherever the next step is an addition; every coordinate
+#: they store is fully reduced, so magnitudes never grow.
+_MASK = (1 << 255) - 1
+
+
+def _signed_nibbles(n: int) -> List[int]:
+    """Radix-16 digits of ``n >= 0`` in ``[-7, 8]``, least significant
+    first.  A digit above 8 borrows 16 from the next one, so the top
+    digit is always positive (a carry out of the top adds a digit 1)."""
+    digits = []
+    while n:
+        digit = n & 15
+        n >>= 4
+        if digit > 8:
+            digit -= 16
+            n += 1
+        digits.append(digit)
+    return digits
+
+
 def scalar_mul(point: EdwardsPoint, n: int) -> EdwardsPoint:
-    """``n * point`` via a fixed 4-bit window (~255 doubles + 64 adds).
+    """``n * point`` via signed radix-16 digits (~252 doubles + 63 adds).
+
+    The eight multiples ``1P..8P`` are cached as ``(Y+X, Y-X, 2Z, 2dT)``
+    (negation swaps the first two and negates the last), so an addition
+    costs eight multiplications.  The doublings run on local integers
+    and form ``T`` only before an addition or at the end, since the
+    a=-1 doubling never reads it.
 
     Negative scalars reduce mod ``L`` (callers only pass them for
     subgroup points); non-negative scalars are used as-is so clamping's
@@ -264,19 +318,56 @@ def scalar_mul(point: EdwardsPoint, n: int) -> EdwardsPoint:
         n %= L
     if n == 0:
         return _identity()
-    table: List[EdwardsPoint] = [_identity(), point]
-    for _ in range(14):
-        table.append(table[-1].add(point))
-    nibbles = []
-    while n:
-        nibbles.append(n & 15)
-        n >>= 4
-    acc = table[nibbles[-1]]
-    for digit in reversed(nibbles[:-1]):
-        acc = acc.double().double().double().double()
+    digits = _signed_nibbles(n)
+    multiples = [point, point.double()]
+    for _ in range(6):
+        multiples.append(multiples[-1].add(point))
+    # table[k] adds k * point and table[-k] (index 16 - k) subtracts it.
+    table: List[Optional[tuple]] = [None] * 16
+    for k, m in enumerate(multiples, 1):
+        ypx, ymx, t2d = (m.y + m.x) % P, (m.y - m.x) % P, m.t * _D2 % P
+        z2 = 2 * m.z % P
+        table[k] = (ypx, ymx, z2, t2d)
+        if k < 8:
+            table[-k] = (ymx, ypx, z2, -t2d % P)
+    top = multiples[digits[-1] - 1]
+    if len(digits) == 1:
+        return top
+    p, m = P, _MASK
+    X, Y, Z = top.x, top.y, top.z
+    for digit in reversed(digits[:-1]):
+        for _ in range(4):
+            t = X * X
+            A = (t & m) + 19 * (t >> 255)
+            t = Y * Y
+            B = (t & m) + 19 * (t >> 255)
+            H = A + B
+            t = (X + Y) * (X + Y)
+            E = H - (t & m) - 19 * (t >> 255)
+            G = A - B
+            t = Z * Z << 1
+            F = (t & m) + 19 * (t >> 255) + G
+            X = E * F % p
+            Y = G * H % p
+            Z = F * G % p
         if digit:
-            acc = acc.add(table[digit])
-    return acc
+            ypx, ymx, z2, t2d = table[digit]
+            t = (Y - X) * ymx
+            A = (t & m) + 19 * (t >> 255)
+            t = (Y + X) * ypx
+            B = (t & m) + 19 * (t >> 255)
+            t = E * H % p * t2d
+            C = (t & m) + 19 * (t >> 255)
+            t = Z * z2
+            Dz = (t & m) + 19 * (t >> 255)
+            E = B - A
+            F = Dz - C
+            G = Dz + C
+            H = B + A
+            X = E * F % p
+            Y = G * H % p
+            Z = F * G % p
+    return EdwardsPoint(X, Y, Z, E * H % P)
 
 
 def scalar_mul_naive(point: EdwardsPoint, n: int) -> EdwardsPoint:
@@ -292,22 +383,48 @@ def scalar_mul_naive(point: EdwardsPoint, n: int) -> EdwardsPoint:
     return acc
 
 
+#: Comb window of the group's fixed-base table, chosen by measurement
+#: (EXPERIMENTS.md): window 6 builds in ~40 ms and powers in ~0.19 ms;
+#: window 8 powers no faster but takes ~130 ms to build.
+COMB_WINDOW = 6
+
+
+def _batch_invert(values: List[int]) -> List[int]:
+    """Inverses of every (non-zero) value with one field inversion
+    (Montgomery's trick: 3 multiplications per value)."""
+    prefix = []
+    acc = 1
+    for v in values:
+        acc = acc * v % P
+        prefix.append(acc)
+    inv = pow(acc, -1, P)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        out[i] = inv * prefix[i - 1] % P
+        inv = inv * values[i] % P
+    out[0] = inv
+    return out
+
+
 class EdwardsComb:
     """Fixed-base windowed table over Edwards additions.
 
     The exact shape of :class:`~repro.crypto.numbers.FixedBaseComb`
     with point addition for multiplication: digit row ``i`` holds
-    ``(k << (window * i)) * base`` for every ``k < 2^window``, so a
+    ``(k << (window * i)) * base`` for every ``0 < k < 2^window``, so a
     fixed-base scalar mult is one addition per non-zero digit and no
-    doublings at all.  Window 4 over 256 bits costs 1024 stored points
-    and ~64 additions per exponentiation, ~4x fewer point operations
-    than the variable-base window.
+    doublings at all.  Entries are stored affine as
+    ``(y+x, y-x, 2dxy)`` — made affine with one batched inversion at
+    build time — so each addition is a 7-multiplication mixed add.  At
+    the default window 6, 256 bits take 43 rows of 64 entries (the zero
+    digit's slot stays empty) and at most 43 additions per
+    exponentiation.
     """
 
-    __slots__ = ("base", "window", "digits", "_tables")
+    __slots__ = ("base", "window", "digits", "_rows")
 
     def __init__(
-        self, base: EdwardsPoint, bits: int = 256, window: int = 4
+        self, base: EdwardsPoint, bits: int = 256, window: int = COMB_WINDOW
     ):
         if not (1 <= window <= 8):
             raise CryptoError("comb window must be in [1, 8]")
@@ -315,15 +432,26 @@ class EdwardsComb:
         self.window = window
         self.digits = -(-bits // window)
         radix = 1 << window
-        tables: List[List[EdwardsPoint]] = []
+        points: List[EdwardsPoint] = []
         b = base
-        for _ in range(self.digits):
-            row = [_identity(), b]
+        for i in range(self.digits):
+            row = [b]
             for _ in range(radix - 2):
                 row.append(row[-1].add(b))
-            tables.append(row)
-            b = row[-1].add(b)
-        self._tables = tables
+            points.extend(row)
+            if i + 1 < self.digits:
+                b = row[-1].add(b)
+        inverses = _batch_invert([q.z for q in points])
+        rows: List[List[Optional[tuple]]] = []
+        for i in range(self.digits):
+            row: List[Optional[tuple]] = [None]
+            for j in range(i * (radix - 1), (i + 1) * (radix - 1)):
+                q, inv_z = points[j], inverses[j]
+                x = q.x * inv_z % P
+                y = q.y * inv_z % P
+                row.append(((y + x) % P, (y - x) % P, x * y % P * _D2 % P))
+            rows.append(row)
+        self._rows = rows
 
     @property
     def entries(self) -> int:
@@ -333,16 +461,32 @@ class EdwardsComb:
         """``exponent * base`` for exponents within the table range."""
         if exponent < 0 or exponent.bit_length() > self.digits * self.window:
             return scalar_mul(self.base, exponent % L)
-        acc = _identity()
+        p, m = P, _MASK
+        X, Y, Z, T = 0, 1, 1, 0
         mask = (1 << self.window) - 1
-        i = 0
-        while exponent:
+        for row in self._rows:
+            if not exponent:
+                break
             digit = exponent & mask
-            if digit:
-                acc = acc.add(self._tables[i][digit])
             exponent >>= self.window
-            i += 1
-        return acc
+            if digit:
+                ypx, ymx, t2d = row[digit]
+                t = (Y - X) * ymx
+                A = (t & m) + 19 * (t >> 255)
+                t = (Y + X) * ypx
+                B = (t & m) + 19 * (t >> 255)
+                t = T * t2d
+                C = (t & m) + 19 * (t >> 255)
+                Dz = Z << 1
+                E = B - A
+                F = Dz - C
+                G = Dz + C
+                H = B + A
+                X = E * F % p
+                Y = G * H % p
+                Z = F * G % p
+                T = E * H % p
+        return EdwardsPoint(X, Y, Z, T)
 
 
 class Curve25519Group(Group):

@@ -237,6 +237,11 @@ class WaveKeyNetClient:
             pair = _parse_endpoint(spec)
             if pair not in self._endpoints:
                 self._endpoints.append(pair)
+        # The client has no OT pool, so its first craft_announce would
+        # build the group's fixed-base table on the M_A deadline path;
+        # one fixed-base power builds it here instead.
+        if self.config.group.comb_enabled:
+            self.config.group.power(1)
 
     # -- public API --------------------------------------------------------
 

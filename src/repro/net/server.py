@@ -134,9 +134,12 @@ class _NetAgreement:
     with the freshly encoded seeds.  Each call runs one wire round:
     seed grant, the three OT messages in both directions, the
     reconciliation challenge, the HMAC confirmation, and the mutual
-    confirmation ack.  ``conn`` is the connection's
-    :class:`_WorkerChannel`, which bridges the worker to the event loop
-    behind a blocking ``send``/``recv`` pair.
+    confirmation ack.  The server crafts its M_B and M_E as soon as
+    the client frame they answer is in, before waiting for the client's
+    frame of the same phase, so both parties craft side by side while
+    the wire order stays strictly alternating.  ``conn`` is the
+    connection's :class:`_WorkerChannel`, which bridges the worker to
+    the event loop behind a blocking ``send``/``recv`` pair.
     """
 
     #: Network waits must not serialize other sessions' compute: the
@@ -165,6 +168,22 @@ class _NetAgreement:
         if hasattr(message, "sender"):
             require_sender(message, self.peer)
         return message
+
+    def _craft_then_expect(self, craft, message_type):
+        """Craft the server's next frame, then take the client's frame
+        of the same phase; returns both.
+
+        Crafting before the wait overlaps it with the client's own
+        crafting.  A craft error (a bad element in the client's
+        previous frame) is raised only once the client's frame is
+        consumed, so a failed round leaves no stale frame behind.
+        """
+        try:
+            mine = craft()
+        except ProtocolError:
+            self._expect(message_type)
+            raise
+        return mine, self._expect(message_type)
 
     def __call__(
         self, seed_m, seed_r, config, transport=None, clock=None, rng=None
@@ -218,17 +237,26 @@ class _NetAgreement:
                     with clock.measure():
                         conn.send(party.craft_announce())
 
-                # M_B both ways.
+                # M_B both ways: the server's M_B is crafted from the
+                # client's M_A while the client crafts its own, and
+                # sent once the client's M_B is in, so the frames keep
+                # strict alternation on the wire.
                 with tracer.span("net.ot.respond"):
                     with clock.measure():
-                        response_c = self._expect(OTResponse)
-                        conn.send(party.craft_response(announce_c))
+                        response_s, response_c = self._craft_then_expect(
+                            lambda: party.craft_response(announce_c),
+                            OTResponse,
+                        )
+                        conn.send(response_s)
 
-                # M_E both ways.
+                # M_E both ways, overlapped the same way.
                 with tracer.span("net.ot.ciphertexts"):
                     with clock.measure():
-                        cipher_c = self._expect(OTCiphertextBatch)
-                        conn.send(party.craft_ciphertexts(response_c))
+                        cipher_s, cipher_c = self._craft_then_expect(
+                            lambda: party.craft_ciphertexts(response_c),
+                            OTCiphertextBatch,
+                        )
+                        conn.send(cipher_s)
 
                 with tracer.span("net.ot.assemble"):
                     with clock.measure():

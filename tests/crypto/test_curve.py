@@ -7,8 +7,11 @@ paths — non-canonical, off-curve, small-order — are exercised with
 hand-built encodings.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.curve import (
     BASE_POINT,
@@ -26,7 +29,7 @@ from repro.crypto.curve import (
     scalar_mul_naive,
     x25519,
 )
-from repro.errors import ProtocolError
+from repro.errors import CryptoError, ProtocolError
 
 # RFC 7748 section 5.2, first test vector.
 VECTOR_1 = (
@@ -188,3 +191,95 @@ class TestGroupInterface:
         assert CURVE25519_GROUP.contains(BASE_POINT)
         assert not CURVE25519_GROUP.contains(EdwardsPoint(0, 1, 1, 0))
         assert not CURVE25519_GROUP.contains(9)
+
+
+# -- property tests against the reference paths ----------------------------
+
+#: An order-8 point (RFC 8032 small-order encoding); adding it to a
+#: subgroup point gives a mixed-torsion base.
+ORDER8 = decode_point(bytes.fromhex(
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"
+))
+
+BASES = {
+    "subgroup": scalar_mul_naive(BASE_POINT, 0xC0FFEE),
+    "mixed-torsion": scalar_mul_naive(BASE_POINT, 0xC0FFEE).add(ORDER8),
+    "order8": ORDER8,
+}
+
+#: Scalars at the edges of the signed radix-16 recoding: digit 8 stays,
+#: 9 borrows, runs of 0xF carry through every digit and out of the top.
+EDGE_SCALARS = [
+    0, 1, 7, 8, 9, 15, 16, 0x88, 0x89, 0x8F, 0xF8, 0xF9, 0x98,
+    (1 << 252) - 1, 9 << 252, 0xF << 252, (1 << 256) - 1,
+    L - 1, L, L + 1, 2 * L + 3,
+    -1, -8, -9, -L, -(L + 5), -((1 << 256) - 1),
+]
+
+
+class TestScalarMulProperties:
+    @pytest.mark.parametrize("base", list(BASES), ids=list(BASES))
+    @pytest.mark.parametrize("n", EDGE_SCALARS)
+    def test_edge_scalars_match_naive(self, base, n):
+        point = BASES[base]
+        assert scalar_mul(point, n) == scalar_mul_naive(point, n)
+
+    def test_order8_point_is_pure_torsion(self):
+        assert ORDER8.is_small_order()
+        assert not ORDER8.double().double().is_identity()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.sampled_from(sorted(BASES)),
+        n=st.integers(min_value=-(1 << 260), max_value=1 << 260),
+    )
+    def test_random_scalars_match_naive(self, base, n):
+        point = BASES[base]
+        assert scalar_mul(point, n) == scalar_mul_naive(point, n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.binary(min_size=32, max_size=32))
+    def test_clamped_scalars_kill_the_torsion(self, data):
+        """A clamped scalar (a multiple of 8) on a mixed-torsion base
+        lands on the subgroup multiple: it is never reduced mod L."""
+        k = clamp_scalar(data)
+        mixed = scalar_mul(BASES["mixed-torsion"], k)
+        assert mixed == scalar_mul(BASES["subgroup"], k)
+
+
+@lru_cache(maxsize=None)
+def _comb(window: int) -> EdwardsComb:
+    return EdwardsComb(BASE_POINT, window=window)
+
+
+class TestCombProperties:
+    @pytest.mark.parametrize("window", range(1, 9))
+    def test_table_range_boundary(self, window):
+        comb = _comb(window)
+        top = comb.digits * comb.window
+        # In range up to 2^top - 1; one past it and negatives fall back.
+        for e in (0, 1, (1 << window) - 1, 1 << window,
+                  (1 << top) - 1, 1 << top, (1 << top) + 1, -1, -L - 2):
+            assert comb.power(e) == scalar_mul_naive(BASE_POINT, e % L)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        window=st.integers(min_value=1, max_value=8),
+        e=st.integers(min_value=-(1 << 264), max_value=1 << 264),
+    )
+    def test_random_exponents_match_naive(self, window, e):
+        assert _comb(window).power(e) == scalar_mul_naive(
+            BASE_POINT, e % L
+        )
+
+    def test_rejects_bad_window(self):
+        for window in (0, 9):
+            with pytest.raises(CryptoError):
+                EdwardsComb(BASE_POINT, window=window)
+
+
+class TestX25519LowOrder:
+    @settings(max_examples=20, deadline=None)
+    @given(scalar=st.binary(min_size=32, max_size=32))
+    def test_zero_u_gives_zero(self, scalar):
+        assert x25519(scalar, bytes(32)) == bytes(32)

@@ -96,3 +96,16 @@ def test_curve_establishment_through_gateway(tiny_bundle):
                     *gateway.address, CURVE_CFG
                 ).establish(rng_seed=35)
     assert result.success, result.failure_reason
+
+
+def test_client_builds_the_comb_before_hello(curve_server, monkeypatch):
+    """The client has no pool: its fixed-base table must exist once
+    the client is constructed, not be built on the M_A deadline path."""
+    _, tcp = curve_server
+    monkeypatch.setattr(CURVE25519_GROUP, "_comb", None)
+    client = WaveKeyNetClient(*tcp.address, CURVE_CFG)
+    table = CURVE25519_GROUP._comb
+    assert table is not None
+    result = client.establish(rng_seed=35)
+    assert result.success, result.failure_reason
+    assert CURVE25519_GROUP._comb is table
