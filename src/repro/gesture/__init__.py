@@ -21,6 +21,7 @@ gestures:
 from repro.gesture.kinematics import (
     integrate_angular_velocity,
     rotation_from_rotvec,
+    rotations_from_rotvecs,
     rotvec_from_rotation,
     skew,
     triad,
@@ -43,6 +44,7 @@ __all__ = [
     "mimic_trajectory",
     "skew",
     "rotation_from_rotvec",
+    "rotations_from_rotvecs",
     "rotvec_from_rotation",
     "integrate_angular_velocity",
     "triad",

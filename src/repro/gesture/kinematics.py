@@ -20,13 +20,48 @@ def skew(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (3,):
         raise ShapeError(f"skew expects a 3-vector, got shape {v.shape}")
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
+    return _skews(v[None, :])[0]
+
+
+def _skews(v: np.ndarray) -> np.ndarray:
+    """Skew-symmetric matrices of a stack of 3-vectors; shape (N, 3, 3)."""
+    out = np.zeros((v.shape[0], 3, 3))
+    out[:, 0, 1] = -v[:, 2]
+    out[:, 0, 2] = v[:, 1]
+    out[:, 1, 0] = v[:, 2]
+    out[:, 1, 2] = -v[:, 0]
+    out[:, 2, 0] = -v[:, 1]
+    out[:, 2, 1] = v[:, 0]
+    return out
+
+
+def rotations_from_rotvecs(rotvecs: np.ndarray) -> np.ndarray:
+    """Batched exponential map: (N, 3) rotation vectors -> (N, 3, 3).
+
+    Row ``i`` is bit-identical to evaluating Rodrigues' formula on
+    ``rotvecs[i]`` alone, so batching never moves a quantisation bit
+    downstream.  That pins the operation order: the angle comes from a
+    row-by-row ``matmul``, which numpy evaluates with the same BLAS dot
+    product ``np.linalg.norm`` uses on a single vector (``einsum`` or
+    ``norm(axis=-1)`` round differently in the last bit), and ``k @ k``
+    is a stacked ``matmul`` of the same 3x3 products.
+    """
+    v = np.asarray(rotvecs, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ShapeError(
+            f"rotations_from_rotvecs expects shape (N, 3), got {v.shape}"
+        )
+    angle = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    small = angle < 1e-12
+    k = _skews(v / np.where(small, 1.0, angle)[:, None])
+    out = (
+        np.eye(3)
+        + np.sin(angle)[:, None, None] * k
+        + (1.0 - np.cos(angle))[:, None, None] * np.matmul(k, k)
     )
+    # First order below the angle floor, where the axis is undefined.
+    out[small] = np.eye(3) + _skews(v[small])
+    return out
 
 
 def rotation_from_rotvec(rotvec: np.ndarray) -> np.ndarray:
@@ -36,12 +71,7 @@ def rotation_from_rotvec(rotvec: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"rotation_from_rotvec expects a 3-vector, got {rotvec.shape}"
         )
-    angle = float(np.linalg.norm(rotvec))
-    if angle < 1e-12:
-        return np.eye(3) + skew(rotvec)
-    axis = rotvec / angle
-    k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    return rotations_from_rotvecs(rotvec[None, :])[0]
 
 
 def rotvec_from_rotation(rotation: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.gesture.kinematics import rotation_from_rotvec
+from repro.gesture.kinematics import rotations_from_rotvecs
 from repro.utils.validation import check_positive
 
 _FD_STEP = 1e-4  # central-difference step for velocity/acceleration
@@ -176,27 +176,25 @@ class GestureTrajectory:
 
     def orientation(self, t: float) -> np.ndarray:
         """Body->world rotation matrix at scalar time ``t``."""
-        return rotation_from_rotvec(self.rotation_vector(float(t)))
+        return self.orientations(float(t))[0]
 
     def orientations(self, t) -> np.ndarray:
         """Stack of body->world rotations for a time array; shape (N, 3, 3)."""
         t = np.asarray(t, dtype=np.float64).ravel()
-        return np.stack([self.orientation(ti) for ti in t])
+        return rotations_from_rotvecs(self.rotation_vector(t))
 
     def angular_velocity_body(self, t) -> np.ndarray:
         """Body-frame angular velocity (rad/s), from ``[w]x = R^T dR/dt``."""
         t = np.asarray(t, dtype=np.float64)
         scalar = t.ndim == 0
-        t = np.atleast_1d(t)
+        t = t.ravel()
         h = _FD_STEP
-        out = np.empty((t.size, 3))
-        for i, ti in enumerate(t):
-            r = self.orientation(ti)
-            dr = (self.orientation(ti + h) - self.orientation(ti - h)) / (
-                2.0 * h
-            )
-            w_skew = r.T @ dr
-            out[i] = [w_skew[2, 1], w_skew[0, 2], w_skew[1, 0]]
+        r = self.orientations(t)
+        dr = (self.orientations(t + h) - self.orientations(t - h)) / (2.0 * h)
+        w_skew = np.matmul(np.swapaxes(r, -1, -2), dr)
+        out = np.stack(
+            [w_skew[:, 2, 1], w_skew[:, 0, 2], w_skew[:, 1, 0]], axis=-1
+        )
         return out[0] if scalar else out
 
     # -- introspection ---------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gesture.kinematics import integrate_angular_velocity, triad
+from repro.gesture.kinematics import rotations_from_rotvecs, triad
 from repro.imu.device import IMURecord
 from repro.imu.sensors import GRAVITY_WORLD, MAGNETIC_FIELD_WORLD
 from repro.utils.validation import check_positive
@@ -167,21 +167,20 @@ def calibrate_imu_record(
         acc_ref, mag_ref, -GRAVITY_WORLD, MAGNETIC_FIELD_WORLD
     )
 
-    dt = 1.0 / rate
-    # The TRIAD pose is valid at the end of the pause; propagate it
-    # through any window offset before recording accelerations.
-    for i in range(pause_end, onset):
-        rotation = integrate_angular_velocity(
-            rotation, gyro[i] - gyro_bias, dt
-        )
+    # Every gyro increment exp([w dt]x) at once; only the pose chain
+    # itself is sequential.  The TRIAD pose is valid at the end of the
+    # pause, so propagate it through any window offset before recording
+    # accelerations.
+    steps = rotations_from_rotvecs(
+        (gyro[pause_end:onset + config.n_samples] - gyro_bias) * (1.0 / rate)
+    )
+    for step in steps[:onset - pause_end]:
+        rotation = rotation @ step
 
-    window = slice(onset, onset + config.n_samples)
-    acc_win = acc[window]
-    gyro_win = gyro[window] - gyro_bias
-
+    acc_win = acc[onset:onset + config.n_samples]
     linear = np.empty((config.n_samples, 3))
-    for i in range(config.n_samples):
+    for i, step in enumerate(steps[onset - pause_end:]):
         # a_world = R @ f_body + g_world  (f is specific force).
         linear[i] = rotation @ acc_win[i] + GRAVITY_WORLD
-        rotation = integrate_angular_velocity(rotation, gyro_win[i], dt)
+        rotation = rotation @ step
     return linear

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -63,6 +64,10 @@ _LEGAL = {
         SessionState.TIMED_OUT,
     },
 }
+
+#: Finished sessions the registry keeps for :meth:`SessionManager.get`;
+#: older ones are forgotten (their tickets still hold them).
+FINISHED_SESSIONS_KEPT = 64
 
 _id_counter = itertools.count(1)
 
@@ -177,12 +182,17 @@ class SessionTicket:
 
 
 class SessionManager:
-    """Registry + transition enforcement + event emission."""
+    """Registry + transition enforcement + event emission.
+
+    The registry holds every live session plus the most recent
+    :data:`FINISHED_SESSIONS_KEPT` finished ones.
+    """
 
     def __init__(self, metrics: MetricsRegistry, events: EventLog):
         self.metrics = metrics
         self.events = events
         self._records: Dict[str, SessionRecord] = {}
+        self._finished: "OrderedDict[str, SessionRecord]" = OrderedDict()
         self._tickets: Dict[str, SessionTicket] = {}
         self._lock = threading.Lock()
 
@@ -192,13 +202,31 @@ class SessionManager:
         )
         ticket = SessionTicket(record)
         with self._lock:
-            if request.session_id in self._records:
+            if (
+                request.session_id in self._records
+                or request.session_id in self._finished
+            ):
                 raise ServiceError(
                     f"duplicate session id {request.session_id!r}"
                 )
             self._records[request.session_id] = record
             self._tickets[request.session_id] = ticket
         return ticket
+
+    def _finish(self, record: SessionRecord) -> None:
+        """Retire a terminal ``record`` to the bounded ring and release
+        its waiting caller."""
+        with self._lock:
+            ticket = self._tickets.pop(record.session_id, None)
+            if self._records.pop(record.session_id, None) is not None:
+                # No attempt follows; a networked session's agreement
+                # holds its connection (socket, buffers, inbox).
+                record.request.agreement_fn = None
+                self._finished[record.session_id] = record
+                while len(self._finished) > FINISHED_SESSIONS_KEPT:
+                    self._finished.popitem(last=False)
+        if ticket is not None:
+            ticket._complete()
 
     def transition(
         self, record: SessionRecord, new_state: SessionState, **fields
@@ -217,10 +245,7 @@ class SessionManager:
         )
         if new_state.terminal:
             self.metrics.counter(f"service.{new_state.value}").inc()
-            with self._lock:
-                ticket = self._tickets.pop(record.session_id, None)
-            if ticket is not None:
-                ticket._complete()
+            self._finish(record)
 
     def shed(
         self, request: AccessRequest, rejection: RejectionReason
@@ -239,9 +264,7 @@ class SessionManager:
             queue_capacity=rejection.queue_capacity,
         )
         self.metrics.counter("service.shed").inc()
-        with self._lock:
-            self._tickets.pop(record.session_id, None)
-        ticket._complete()
+        self._finish(record)
         return ticket
 
     def abort(self, record: SessionRecord, reason: str) -> None:
@@ -262,21 +285,21 @@ class SessionManager:
             aborted=True,
         )
         self.metrics.counter("service.failed").inc()
-        with self._lock:
-            ticket = self._tickets.pop(record.session_id, None)
-        if ticket is not None:
-            ticket._complete()
+        self._finish(record)
 
     def get(self, session_id: str) -> SessionRecord:
         with self._lock:
-            if session_id not in self._records:
-                raise ServiceError(f"unknown session {session_id!r}")
-            return self._records[session_id]
+            record = self._records.get(session_id) or self._finished.get(
+                session_id
+            )
+        if record is None:
+            raise ServiceError(f"unknown session {session_id!r}")
+        return record
 
     def records(self) -> List[SessionRecord]:
+        """Retained finished sessions (oldest first), then live ones."""
         with self._lock:
-            return list(self._records.values())
+            return [*self._finished.values(), *self._records.values()]
 
     def count(self, state: SessionState) -> int:
-        with self._lock:
-            return sum(1 for r in self._records.values() if r.state is state)
+        return sum(1 for r in self.records() if r.state is state)

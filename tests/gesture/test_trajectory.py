@@ -68,11 +68,21 @@ class TestKinematicConsistency:
         )
 
     def test_vectorized_and_scalar_agree(self, trajectory):
-        t = np.array([0.9, 1.4, 2.2])
+        # Bit for bit, across the pause (zero rotation: the first-order
+        # branch), the onset ramp and the active phase.
+        pause, ramp = trajectory.pause_s, trajectory.ramp_s
+        t = np.concatenate([
+            np.linspace(0.0, pause, 9),
+            np.linspace(pause, pause + ramp, 9),
+            np.linspace(pause + ramp, trajectory.total_s, 9),
+        ])
+        assert np.array_equal(trajectory.orientation(0.1), np.eye(3))
         stacked = trajectory.orientations(t)
+        omega = trajectory.angular_velocity_body(t)
         for i, ti in enumerate(t):
-            np.testing.assert_allclose(
-                stacked[i], trajectory.orientation(ti)
+            assert np.array_equal(stacked[i], trajectory.orientation(ti))
+            assert np.array_equal(
+                omega[i], trajectory.angular_velocity_body(ti)
             )
 
 

@@ -5,6 +5,7 @@ between :class:`WaveKeyNetClient` and :class:`WaveKeyTCPServer` over
 127.0.0.1, with pinned encoder seeds so the outcomes are deterministic.
 """
 
+import gc
 import socket
 
 import pytest
@@ -30,7 +31,8 @@ from repro.net.connection import FrameConnection, connect
 from repro.obs import MetricsRegistry, Tracer
 from repro.protocol.agreement import KeyAgreementConfig
 from repro.protocol.messages import OTAnnounce
-from repro.service import SessionState
+from repro.net.server import _ClientConn
+from repro.service import SessionState, sessions
 
 from tests.net.conftest import (
     make_access_server,
@@ -84,6 +86,31 @@ def test_establishment_over_loopback(tiny_bundle):
     server_counters = access.metrics.snapshot()["counters"]
     assert server_counters["net.server.sessions"] == 1
     assert server_counters['net.frames_received{endpoint="server"}'] >= 5
+
+
+def test_finished_sessions_release_their_connections(
+    tiny_bundle, monkeypatch
+):
+    """Finished sessions neither pin their connections (socket, buffers,
+    inbox) nor grow the registry past its bound: after more sessions
+    than the bound, at most the last connection is still alive."""
+    monkeypatch.setattr(sessions, "FINISHED_SESSIONS_KEPT", 4)
+    with make_access_server(tiny_bundle) as access:
+        pin_seeds(access, matched_seed())
+        with WaveKeyTCPServer(access) as tcp:
+            host, port = tcp.address
+            for seed in range(8):
+                assert WaveKeyNetClient(
+                    host, port, CLIENT_CFG
+                ).establish(rng_seed=seed).success
+            gc.collect()
+            live = [
+                o for o in gc.get_objects()
+                if isinstance(o, _ClientConn) and o.server is tcp
+            ]
+            assert len(live) <= 1
+            assert len(access.sessions.records()) == 4
+            assert tcp.sessions_served == 8
 
 
 def test_mismatched_seeds_fail_with_round_results(tiny_bundle):

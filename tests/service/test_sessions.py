@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.obs import EventLog, MetricsRegistry
+from repro.service import sessions
 from repro.service.sessions import (
     AccessRequest,
     RejectionReason,
@@ -109,6 +110,26 @@ class TestRegistry:
         assert manager.count(SessionState.QUEUED) == 1
         with pytest.raises(ServiceError, match="unknown session"):
             manager.get("nope")
+
+    def test_registry_keeps_live_and_recent_finished_sessions(
+        self, manager, monkeypatch
+    ):
+        monkeypatch.setattr(sessions, "FINISHED_SESSIONS_KEPT", 2)
+        live = manager.open(make_request())._record
+        finished = []
+        for seed in range(4):
+            request = AccessRequest(rng_seed=seed, agreement_fn=object())
+            record = manager.open(request)._record
+            manager.abort(record, "done")
+            finished.append(record)
+        assert manager.records() == [*finished[-2:], live]
+        assert manager.get(live.session_id) is live
+        assert manager.get(finished[-1].session_id) is finished[-1]
+        with pytest.raises(ServiceError, match="unknown session"):
+            manager.get(finished[0].session_id)
+        # a finished session no longer holds its agreement (and through
+        # it, a networked session's connection)
+        assert all(r.request.agreement_fn is None for r in finished)
 
     def test_session_ids_are_unique(self):
         ids = {make_request().session_id for _ in range(100)}
