@@ -9,36 +9,33 @@ Frame layout (everything big-endian)::
 ``body length`` counts the type byte plus the payload, so a receiver
 can bound memory before reading the body (:class:`FrameTooLarge`).
 
-Two message families share the framing:
+Four message families share the framing: the **protocol dataclasses**
+of :mod:`repro.protocol.messages` (``M_A``/``M_B``/``M_E``, the
+reconciliation challenge and the HMAC confirmation), and the frames
+defined here for **session control** (handshake, seed grant, acks,
+verdicts, stats/telemetry scrapes, errors), the **access layer**
+(tickets, resumption, sealed records, revocation) and **replication**
+(digest, pull and push of JSON log entries).
 
-* the **protocol dataclasses** of :mod:`repro.protocol.messages` —
-  ``M_A``/``M_B``/``M_E`` (:class:`OTAnnounce`, :class:`OTResponse`,
-  :class:`OTCiphertextBatch`), the reconciliation challenge, and the
-  HMAC confirmation;
-* the **session-control frames** defined here — hello/accept handshake,
-  per-attempt seed grant, confirmation ack, round result, terminal
-  verdict, and structured error frames;
-* the **access-layer frames** (:mod:`repro.access`) — resumption
-  ticket grant, resume request/accept, sealed channel records, and
-  authenticated revocation notices;
-* the **replication frames** (:mod:`repro.replica`) — digest
-  exchange, missing-suffix pull, and entry push carrying JSON
-  documents of content-addressed ticket-state log entries.
+One spec table, ``_SPECS``, drives both directions: each message class
+maps to its frame type, its fields in wire order and the extension
+tags it allows.  Each field is one of a few kinds: fixed-width numbers,
+0/1 flags, minimal integers, bit sequences, length-prefixed blobs,
+strings and JSON documents, counted lists and nested records.  OT group
+elements are opaque non-empty blobs the negotiated group validates.
 
-Encoded sizes are reconciled with the latency model: for every protocol
-dataclass, ``len(payload) == msg.wire_size_bytes() + framing_overhead``
-where the overhead is exactly the codec's field headers (sender string,
-element counts, per-element length prefixes) plus the 5-byte frame
-header — :func:`framing_overhead` computes it so tests can pin the
-identity exactly.
+Extensions are optional trailing blocks, a tag byte plus one field:
+``0x01`` trace context (:class:`Hello`, :class:`ResumeRequest`) and
+``0x02`` OT group id (:class:`Hello`).  Tags must be strictly
+ascending, so each appears at most once; a tag the frame does not
+allow is rejected, as are trailing bytes on a frame that allows none.
+An absent extension writes nothing, so such frames are byte-identical
+to the wire from before the extension existed.
 
-OT group elements travel as ``u16`` length plus the group's canonical
-encoding — minimal big-endian bytes for MODP (byte-identical to the
-historical integer fields) and 32-byte compressed points for
-curve25519; the codec treats them as opaque and the negotiated group
-validates them.  Bare integers still use the same u16-length + minimal
-big-endian layout; bit sequences are a ``u32`` bit count plus MSB-first
-packed bytes.
+Decoding is canonical: whatever decodes re-encodes to the same bytes.
+``tests/net/golden`` pins every frame type byte for byte, and
+:func:`framing_overhead` reconciles ``wire_size_bytes()`` of the
+protocol dataclasses with the codec.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.ot import OTCiphertexts
 from repro.errors import DecodeError, FrameTooLarge, ProtocolError
@@ -64,7 +61,8 @@ from repro.utils.bits import BitSequence
 PROTOCOL_VERSION = 1
 
 #: Frame header: u32 body length + u8 frame type.
-HEADER_BYTES = 5
+_HEADER = struct.Struct("!IB")
+HEADER_BYTES = _HEADER.size
 
 #: Default bound on one frame's payload; generous next to real messages
 #: (a 512-bit-group M_E for l_s=128 is ~20 KiB).
@@ -110,20 +108,6 @@ class Frame(NamedTuple):
 # -- session-control messages -------------------------------------------------
 
 
-def _trace_context_wire_bytes(context: Optional[TraceContext]) -> int:
-    """Encoded size of the optional trace-context tail (0 when absent:
-    context-less frames are byte-identical to the pre-trace wire)."""
-    if context is None:
-        return 0
-    return (
-        1  # presence/format marker
-        + 2 + len(context.trace_id.encode("utf-8"))
-        + 2 + len(context.span_id.encode("utf-8"))
-        + 1  # sampled flag
-        + 2 + len(context.service.encode("utf-8"))
-    )
-
-
 @dataclass(frozen=True)
 class Hello:
     """Client -> server: open a session (the wire's AccessRequest).
@@ -131,17 +115,14 @@ class Hello:
     ``trace_context`` (optional) carries the client's distributed
     trace: when present, every hop — gateway splice, backend worker
     pool — parents its spans under the client's root instead of
-    minting a new trace.  Encoded as a trailing optional block, so a
-    context-less Hello is byte-identical to the pre-trace wire format
-    and old peers interoperate cleanly.
+    minting a new trace.
 
     ``group_id`` (optional) negotiates the OT group for the session:
     empty means the historical default (the 512-bit MODP simulation
     group), anything else names the group the client will run the
-    exchange in (e.g. ``curve25519``).  Same trailing-block encoding,
-    so default-group Hellos stay byte-identical to the old wire; a
-    server configured for a different group answers with a typed
-    ``group`` error frame instead of mis-decoding elements.
+    exchange in (e.g. ``curve25519``).  A server configured for a
+    different group answers with a typed ``group`` error frame instead
+    of mis-decoding elements.
     """
 
     sender: str
@@ -150,23 +131,6 @@ class Hello:
     version: int = PROTOCOL_VERSION
     trace_context: Optional[TraceContext] = None
     group_id: str = ""
-
-    def wire_size_bytes(self) -> int:
-        """Exact encoded payload size (codec reconciliation)."""
-        seed = int(self.rng_seed)
-        seed_bytes = max(1, (seed.bit_length() + 7) // 8)
-        group_bytes = (
-            1 + 2 + len(self.group_id.encode("utf-8"))
-            if self.group_id else 0
-        )
-        return (
-            1  # version
-            + 2 + len(self.sender.encode("utf-8"))
-            + 2 + seed_bytes
-            + 1  # dynamic flag
-            + _trace_context_wire_bytes(self.trace_context)
-            + group_bytes
-        )
 
 
 @dataclass(frozen=True)
@@ -329,8 +293,7 @@ class ResumeRequest:
     ``client_nonce`` freshens the channel key schedule so records from
     an earlier resumption of the same ticket never replay into this
     one.  ``trace_context`` propagates the client's distributed trace
-    exactly as on :class:`Hello` (optional trailing block; absent ==
-    byte-identical to the pre-trace format).
+    exactly as on :class:`Hello`.
     """
 
     sender: str
@@ -338,16 +301,6 @@ class ResumeRequest:
     client_nonce: bytes
     version: int = PROTOCOL_VERSION
     trace_context: Optional[TraceContext] = None
-
-    def wire_size_bytes(self) -> int:
-        """Exact encoded payload size (codec reconciliation)."""
-        return (
-            1  # version
-            + 2 + len(self.sender.encode("utf-8"))
-            + 2 + len(self.ticket_id.encode("utf-8"))
-            + 1 + len(self.client_nonce)
-            + _trace_context_wire_bytes(self.trace_context)
-        )
 
 
 @dataclass(frozen=True)
@@ -453,733 +406,270 @@ class ReplPush:
     version: int = PROTOCOL_VERSION
 
 
-# -- primitive writers / readers ---------------------------------------------
-
-
-class _Writer:
-    """Accumulates big-endian fields into one payload."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self):
-        self._parts = []
-
-    def u8(self, value: int) -> "_Writer":
-        self._parts.append(struct.pack("!B", value))
-        return self
-
-    def u16(self, value: int) -> "_Writer":
-        self._parts.append(struct.pack("!H", value))
-        return self
-
-    def u32(self, value: int) -> "_Writer":
-        self._parts.append(struct.pack("!I", value))
-        return self
-
-    def u64(self, value: int) -> "_Writer":
-        self._parts.append(struct.pack("!Q", value))
-        return self
-
-    def f64(self, value: float) -> "_Writer":
-        self._parts.append(struct.pack("!d", value))
-        return self
-
-    def string(self, value: str) -> "_Writer":
-        data = value.encode("utf-8")
-        if len(data) > 0xFFFF:
-            raise ProtocolError("string field over 65535 bytes")
-        return self.u16(len(data)).raw(data)
-
-    def blob8(self, data: bytes) -> "_Writer":
-        if len(data) > 0xFF:
-            raise ProtocolError("blob8 field over 255 bytes")
-        return self.u8(len(data)).raw(data)
-
-    def blob16(self, data: bytes) -> "_Writer":
-        if len(data) > 0xFFFF:
-            raise ProtocolError("blob16 field over 65535 bytes")
-        return self.u16(len(data)).raw(data)
-
-    def blob32(self, data: bytes) -> "_Writer":
-        """u32-length blob: stats documents outgrow the u16 cap."""
-        if len(data) > 0xFFFFFFFF:
-            raise ProtocolError("blob32 field over 2**32-1 bytes")
-        return self.u32(len(data)).raw(data)
-
-    def uint(self, value: int) -> "_Writer":
-        """Arbitrary-precision non-negative int: u16 length + minimal
-        big-endian bytes (zero encodes as one zero byte, matching the
-        ``max(1, ...)`` sizing in ``wire_size_bytes``)."""
-        value = int(value)
-        if value < 0:
-            raise ProtocolError("cannot encode a negative integer")
-        data = value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
-        return self.blob16(data)
-
-    def bits(self, seq: BitSequence) -> "_Writer":
-        """u32 bit count + MSB-first packed bytes."""
-        return self.u32(len(seq)).raw(seq.to_bytes())
-
-    def raw(self, data: bytes) -> "_Writer":
-        self._parts.append(bytes(data))
-        return self
-
-    def payload(self) -> bytes:
-        return b"".join(self._parts)
+# -- field kinds --------------------------------------------------------------
 
 
 class _Reader:
-    """Consumes a payload; every underrun or leftover is a DecodeError."""
+    """Consumes a payload; every underrun is a DecodeError."""
 
-    __slots__ = ("_data", "_pos")
+    __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
+        self.data = data
+        self.pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+    def take(self, n: int) -> bytes:
+        start, self.pos = self.pos, self.pos + n
+        if self.pos > len(self.data):
             raise DecodeError(
                 f"payload truncated: wanted {n} bytes at offset "
-                f"{self._pos}, have {len(self._data) - self._pos}"
+                f"{start}, have {len(self.data) - start}"
             )
-        chunk = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("!H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("!I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("!Q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("!d", self._take(8))[0]
-
-    def string(self) -> str:
-        data = self._take(self.u16())
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"invalid utf-8 in string field: {exc}")
-
-    def blob8(self) -> bytes:
-        return self._take(self.u8())
-
-    def blob16(self) -> bytes:
-        return self._take(self.u16())
-
-    def blob32(self) -> bytes:
-        return self._take(self.u32())
-
-    def uint(self) -> int:
-        data = self.blob16()
-        if not data:
-            raise DecodeError("empty integer field")
-        return int.from_bytes(data, "big")
-
-    def bits(self) -> BitSequence:
-        n_bits = self.u32()
-        data = self._take((n_bits + 7) // 8)
-        try:
-            return BitSequence.from_bytes(data, n_bits)
-        except Exception as exc:  # ShapeError and friends
-            raise DecodeError(f"invalid bit sequence: {exc}")
-
-    @property
-    def remaining(self) -> int:
-        """Unconsumed bytes — gates optional trailing blocks."""
-        return len(self._data) - self._pos
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise DecodeError(
-                f"{len(self._data) - self._pos} trailing bytes after payload"
-            )
+        return self.data[start:self.pos]
 
 
-# -- per-message encoders -----------------------------------------------------
+class _Kind(NamedTuple):
+    """How a field travels: ``write(out, value)``, ``read(r) -> value``."""
+
+    write: Callable[[List[bytes], Any], None]
+    read: Callable[[_Reader], Any]
 
 
-def _encode_announce_like(msg) -> bytes:
-    w = _Writer().string(msg.sender).u16(len(msg.elements))
-    for element in msg.elements:
-        w.blob16(element)
-    return w.payload()
+def _fixed(fmt: str) -> _Kind:
+    """A fixed-width big-endian number in ``struct`` format ``fmt``."""
+    layout = struct.Struct(fmt)
+    return _Kind(
+        lambda out, value: out.append(layout.pack(value)),
+        lambda r: layout.unpack(r.take(layout.size))[0],
+    )
 
 
-def _read_element(r: _Reader) -> bytes:
-    """One length-prefixed group element (opaque encoded bytes).
+U8, U16, U32, U64, F64 = map(_fixed, ("!B", "!H", "!I", "!Q", "!d"))
 
-    For MODP elements the bytes are the minimal big-endian integer the
-    old ``uint`` field carried — the frames are byte-identical — but
-    the codec no longer interprets them: validation happens where the
-    negotiated group decodes them.  An empty element can encode
-    nothing in any group, so it is rejected here like the empty
-    integer field always was.
-    """
-    data = r.blob16()
+
+def _blob(width: int, to_wire=bytes, from_wire=bytes) -> _Kind:
+    """Bytes behind a ``width``-byte length prefix, made from the value
+    by ``to_wire`` and back by ``from_wire``, which also rejects bytes
+    that are not the canonical encoding of any value."""
+    prefix = struct.Struct({1: "!B", 2: "!H", 4: "!I"}[width])
+    pack, unpack, limit = prefix.pack, prefix.unpack, (1 << 8 * width) - 1
+
+    def write(out, value):
+        data = to_wire(value)
+        if len(data) > limit:
+            raise ProtocolError(f"blob{8 * width} field over {limit} bytes")
+        out.append(pack(len(data)))
+        out.append(data)
+
+    def read(r):
+        return from_wire(r.take(unpack(r.take(width))[0]))
+
+    return _Kind(write, read)
+
+
+BLOB8, BLOB16, BLOB32 = map(_blob, (1, 2, 4))
+
+
+def _read_flag(r: _Reader) -> bool:
+    value = U8.read(r)
+    if value > 1:
+        raise DecodeError(f"flag byte must be 0 or 1, got 0x{value:02x}")
+    return value == 1
+
+
+def _uint_bytes(value: int) -> bytes:
+    """Minimal big-endian bytes; zero encodes as one zero byte."""
+    value = int(value)
+    if value < 0:
+        raise ProtocolError("cannot encode a negative integer")
+    return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
+
+
+def _uint(data: bytes) -> int:
+    if not data:
+        raise DecodeError("empty integer field")
+    if data[0] == 0 and len(data) > 1:
+        raise DecodeError("non-minimal integer field: leading zero byte")
+    return int.from_bytes(data, "big")
+
+
+def _element(data: bytes) -> bytes:
+    """Opaque (the negotiated group validates it), but never empty."""
     if not data:
         raise DecodeError("empty group element field")
     return data
 
 
-def _decode_announce(payload: bytes) -> OTAnnounce:
-    r = _Reader(payload)
-    sender = r.string()
-    elements = tuple(_read_element(r) for _ in range(r.u16()))
-    r.expect_end()
-    return OTAnnounce(sender=sender, elements=elements)
+def _write_bits(out: List[bytes], seq: BitSequence) -> None:
+    U32.write(out, len(seq))
+    out.append(seq.to_bytes())
 
 
-def _decode_response(payload: bytes) -> OTResponse:
-    r = _Reader(payload)
-    sender = r.string()
-    elements = tuple(_read_element(r) for _ in range(r.u16()))
-    r.expect_end()
-    return OTResponse(sender=sender, elements=elements)
+def _read_bits(r: _Reader) -> BitSequence:
+    n_bits = U32.read(r)
+    data = r.take((n_bits + 7) // 8)
+    if n_bits % 8 and data[-1] & (0xFF >> n_bits % 8):
+        raise DecodeError("non-zero padding bits in bit sequence")
+    return BitSequence.from_bytes(data, n_bits)
 
 
-def _encode_ciphertexts(msg: OTCiphertextBatch) -> bytes:
-    w = _Writer().string(msg.sender).u16(len(msg.pairs))
-    for pair in msg.pairs:
-        w.blob16(pair.e0).blob16(pair.e1)
-    return w.payload()
+def _counted(item: _Kind) -> _Kind:
+    """A u16 count followed by that many ``item`` values (a tuple)."""
 
+    def write(out, values):
+        U16.write(out, len(values))
+        for value in values:
+            item.write(out, value)
 
-def _decode_ciphertexts(payload: bytes) -> OTCiphertextBatch:
-    r = _Reader(payload)
-    sender = r.string()
-    pairs = tuple(
-        OTCiphertexts(e0=r.blob16(), e1=r.blob16())
-        for _ in range(r.u16())
-    )
-    r.expect_end()
-    return OTCiphertextBatch(sender=sender, pairs=pairs)
-
-
-def _encode_challenge(msg: ReconciliationChallenge) -> bytes:
-    return (
-        _Writer()
-        .string(msg.sender)
-        .bits(msg.sketch)
-        .blob8(msg.nonce)
-        .payload()
+    return _Kind(
+        write, lambda r: tuple(item.read(r) for _ in range(U16.read(r)))
     )
 
 
-def _decode_challenge(payload: bytes) -> ReconciliationChallenge:
-    r = _Reader(payload)
-    sender = r.string()
-    sketch = r.bits()
-    nonce = r.blob8()
-    r.expect_end()
-    return ReconciliationChallenge(sender=sender, sketch=sketch, nonce=nonce)
+def _write_fields(out: List[bytes], value, fields: Tuple) -> None:
+    """Write each (attribute name, kind) field of ``value`` in order."""
+    for name, kind in fields:
+        kind.write(out, getattr(value, name))
 
 
-def _encode_confirmation(msg: ConfirmationResponse) -> bytes:
-    return _Writer().string(msg.sender).blob8(msg.tag).payload()
+def _read_fields(r: _Reader, fields: Tuple) -> Dict[str, Any]:
+    values = {}
+    for name, kind in fields:
+        values[name] = kind.read(r)
+    return values
 
 
-def _decode_confirmation(payload: bytes) -> ConfirmationResponse:
-    r = _Reader(payload)
-    sender = r.string()
-    tag = r.blob8()
-    r.expect_end()
-    return ConfirmationResponse(sender=sender, tag=tag)
-
-
-#: Format marker opening the optional trace-context tail; a second
-#: format would get a new marker value rather than a version bump.
-_TRACE_CONTEXT_MARKER = 0x01
-
-#: Format marker opening the optional group-id tail block (Hello only):
-#: one codec string naming the negotiated OT group.
-_GROUP_ID_MARKER = 0x02
-
-
-def _write_trace_context(
-    w: _Writer, context: Optional[TraceContext]
-) -> _Writer:
-    """Append the optional trace-context block; absent contexts write
-    nothing, keeping the frame byte-identical to the pre-trace wire."""
-    if context is None:
-        return w
-    return (
-        w.u8(_TRACE_CONTEXT_MARKER)
-        .string(context.trace_id)
-        .string(context.span_id)
-        .u8(1 if context.sampled else 0)
-        .string(context.service)
+def _record(cls: type, *fields: Tuple[str, _Kind]) -> _Kind:
+    """A nested record: ``cls`` built from ``fields`` in wire order."""
+    return _Kind(
+        lambda out, value: _write_fields(out, value, fields),
+        lambda r: cls(**_read_fields(r, fields)),
     )
 
 
-def _read_trace_context(r: _Reader) -> Optional[TraceContext]:
-    """Consume the optional trace-context tail if present.
+FLAG = _Kind(lambda out, value: U8.write(out, 1 if value else 0), _read_flag)
+UINT = _blob(2, _uint_bytes, _uint)
+STRING = _blob(2, str.encode, bytes.decode)
+#: JSON documents travel as u32-length utf-8: stats outgrow a u16.
+DOCUMENT = _blob(4, str.encode, bytes.decode)
+BITS = _Kind(_write_bits, _read_bits)
+ELEMENTS = _counted(_blob(2, bytes, _element))
+PAIRS = _counted(_record(OTCiphertexts, ("e0", BLOB16), ("e1", BLOB16)))
+TRACE_CONTEXT = _record(
+    TraceContext, ("trace_id", STRING), ("span_id", STRING),
+    ("sampled", FLAG), ("service", STRING),
+)
 
-    A pre-trace peer never sends it (``remaining == 0`` -> ``None``);
-    an unknown marker is a decode error, not silently misparsed fields.
-    """
-    if r.remaining == 0:
-        return None
-    marker = r.u8()
-    if marker != _TRACE_CONTEXT_MARKER:
+
+# -- the schema ---------------------------------------------------------------
+
+
+#: Extension tag -> (attribute, kind, absent value: written as nothing).
+_EXTENSIONS: Dict[int, Tuple[str, _Kind, Any]] = {
+    0x01: ("trace_context", TRACE_CONTEXT, None),
+    0x02: ("group_id", STRING, ""),
+}
+
+
+def _spec(frame_type: FrameType, *fields, extensions=()) -> Tuple:
+    """A message's frame type, its (attribute, kind) fields in wire
+    order, and the extension tags it may carry (ascending)."""
+    return frame_type, fields, tuple(sorted(extensions))
+
+
+_VERSION = ("version", U8)
+_SENDER = ("sender", STRING)
+_TAG = ("tag", BLOB8)
+_TICKET = ("ticket_id", STRING)
+_DOCUMENT = ("payload_json", DOCUMENT)
+
+_SPECS: Dict[type, Tuple] = {
+    Hello: _spec(
+        FrameType.HELLO, _VERSION, _SENDER, ("rng_seed", UINT),
+        ("dynamic", FLAG), extensions=(0x01, 0x02),
+    ),
+    Accept: _spec(
+        FrameType.ACCEPT, _VERSION, _SENDER, ("session_id", STRING),
+        ("key_length_bits", U16), ("eta", F64),
+    ),
+    SeedGrant: _spec(FrameType.SEED_GRANT, ("attempt", U16), ("seed", BITS)),
+    OTAnnounce: _spec(FrameType.OT_ANNOUNCE, _SENDER, ("elements", ELEMENTS)),
+    OTResponse: _spec(FrameType.OT_RESPONSE, _SENDER, ("elements", ELEMENTS)),
+    OTCiphertextBatch: _spec(
+        FrameType.OT_CIPHERTEXTS, _SENDER, ("pairs", PAIRS)
+    ),
+    ReconciliationChallenge: _spec(
+        FrameType.RECON_CHALLENGE, _SENDER, ("sketch", BITS), ("nonce", BLOB8)
+    ),
+    ConfirmationResponse: _spec(FrameType.CONFIRM_RESPONSE, _SENDER, _TAG),
+    ConfirmAck: _spec(FrameType.CONFIRM_ACK, ("ok", FLAG), _TAG),
+    RoundResult: _spec(
+        FrameType.ROUND_RESULT, ("success", FLAG), ("reason", STRING)
+    ),
+    Verdict: _spec(
+        FrameType.VERDICT, ("state", STRING), ("attempts", U16),
+        ("reason", STRING), ("session_id", STRING),
+    ),
+    ErrorFrame: _spec(FrameType.ERROR, ("code", STRING), ("detail", STRING)),
+    StatsRequest: _spec(FrameType.STATS_REQUEST, _VERSION),
+    StatsResponse: _spec(FrameType.STATS_RESPONSE, _VERSION, _DOCUMENT),
+    TelemetryRequest: _spec(
+        FrameType.TELEMETRY_REQUEST, _VERSION, ("drain", FLAG)
+    ),
+    TelemetryResponse: _spec(
+        FrameType.TELEMETRY_RESPONSE, _VERSION, _DOCUMENT
+    ),
+    TicketGrant: _spec(
+        FrameType.TICKET_GRANT, _VERSION, _TICKET,
+        ("expires_at", F64), ("lifetime_s", F64),
+    ),
+    ResumeRequest: _spec(
+        FrameType.RESUME_REQUEST, _VERSION, _SENDER, _TICKET,
+        ("client_nonce", BLOB8), extensions=(0x01,),
+    ),
+    ResumeAccept: _spec(
+        FrameType.RESUME_ACCEPT, _VERSION, _SENDER, ("channel_id", STRING),
+        ("server_nonce", BLOB8), _TAG,
+    ),
+    RecordFrame: _spec(
+        FrameType.RECORD, ("seq", U64), ("ciphertext", BLOB32), _TAG
+    ),
+    RevokeNotice: _spec(FrameType.REVOKE_NOTICE, _VERSION, _TICKET, _TAG),
+    ReplDigest: _spec(FrameType.REPL_DIGEST, _VERSION, _SENDER, _DOCUMENT),
+    ReplPull: _spec(FrameType.REPL_PULL, _VERSION, _SENDER, _DOCUMENT),
+    ReplPush: _spec(FrameType.REPL_PUSH, _VERSION, _SENDER, _DOCUMENT),
+}
+
+#: Frame type -> (message class, spec): the decode direction.
+_BY_FRAME_TYPE: Dict[FrameType, Tuple[type, Tuple]] = {
+    spec[0]: (cls, spec) for cls, spec in _SPECS.items()
+}
+
+
+def _read_extensions(r: _Reader, allowed: Tuple[int, ...]) -> Dict:
+    """Parse the bytes after the fields as extension blocks: allowed tags
+    only, strictly ascending (so each at most once), never absent."""
+    if not allowed:
         raise DecodeError(
-            f"unknown trace-context marker 0x{marker:02x}"
+            f"{len(r.data) - r.pos} trailing bytes after payload"
         )
-    trace_id = r.string()
-    span_id = r.string()
-    sampled = bool(r.u8())
-    service = r.string()
-    return TraceContext(
-        trace_id=trace_id,
-        span_id=span_id,
-        sampled=sampled,
-        service=service,
-    )
-
-
-def _encode_hello(msg: Hello) -> bytes:
-    w = (
-        _Writer()
-        .u8(msg.version)
-        .string(msg.sender)
-        .uint(msg.rng_seed)
-        .u8(1 if msg.dynamic else 0)
-    )
-    _write_trace_context(w, msg.trace_context)
-    if msg.group_id:
-        w.u8(_GROUP_ID_MARKER).string(msg.group_id)
-    return w.payload()
-
-
-def _decode_hello(payload: bytes) -> Hello:
-    r = _Reader(payload)
-    version = r.u8()
-    sender = r.string()
-    rng_seed = r.uint()
-    dynamic = bool(r.u8())
-    # Optional trailing blocks, each at most once, any order: pre-trace
-    # peers send none, default-group peers omit the group block.
-    trace_context: Optional[TraceContext] = None
-    group_id = ""
-    while r.remaining:
-        marker = r.u8()
-        if marker == _TRACE_CONTEXT_MARKER:
-            if trace_context is not None:
-                raise DecodeError("duplicate trace-context block")
-            trace_context = TraceContext(
-                trace_id=r.string(),
-                span_id=r.string(),
-                sampled=bool(r.u8()),
-                service=r.string(),
-            )
-        elif marker == _GROUP_ID_MARKER:
-            if group_id:
-                raise DecodeError("duplicate group-id block")
-            group_id = r.string()
-            if not group_id:
-                raise DecodeError("empty group-id block")
-        else:
-            raise DecodeError(
-                f"unknown trace-context marker 0x{marker:02x}"
-            )
-    return Hello(
-        sender=sender,
-        rng_seed=rng_seed,
-        dynamic=dynamic,
-        version=version,
-        trace_context=trace_context,
-        group_id=group_id,
-    )
-
-
-def _encode_accept(msg: Accept) -> bytes:
-    return (
-        _Writer()
-        .u8(msg.version)
-        .string(msg.sender)
-        .string(msg.session_id)
-        .u16(msg.key_length_bits)
-        .f64(msg.eta)
-        .payload()
-    )
-
-
-def _decode_accept(payload: bytes) -> Accept:
-    r = _Reader(payload)
-    version = r.u8()
-    sender = r.string()
-    session_id = r.string()
-    key_length_bits = r.u16()
-    eta = r.f64()
-    r.expect_end()
-    return Accept(
-        sender=sender,
-        session_id=session_id,
-        key_length_bits=key_length_bits,
-        eta=eta,
-        version=version,
-    )
-
-
-def _encode_seed_grant(msg: SeedGrant) -> bytes:
-    return _Writer().u16(msg.attempt).bits(msg.seed).payload()
-
-
-def _decode_seed_grant(payload: bytes) -> SeedGrant:
-    r = _Reader(payload)
-    attempt = r.u16()
-    seed = r.bits()
-    r.expect_end()
-    return SeedGrant(attempt=attempt, seed=seed)
-
-
-def _encode_confirm_ack(msg: ConfirmAck) -> bytes:
-    return _Writer().u8(1 if msg.ok else 0).blob8(msg.tag).payload()
-
-
-def _decode_confirm_ack(payload: bytes) -> ConfirmAck:
-    r = _Reader(payload)
-    ok = bool(r.u8())
-    tag = r.blob8()
-    r.expect_end()
-    return ConfirmAck(ok=ok, tag=tag)
-
-
-def _encode_round_result(msg: RoundResult) -> bytes:
-    return (
-        _Writer().u8(1 if msg.success else 0).string(msg.reason).payload()
-    )
-
-
-def _decode_round_result(payload: bytes) -> RoundResult:
-    r = _Reader(payload)
-    success = bool(r.u8())
-    reason = r.string()
-    r.expect_end()
-    return RoundResult(success=success, reason=reason)
-
-
-def _encode_verdict(msg: Verdict) -> bytes:
-    return (
-        _Writer()
-        .string(msg.state)
-        .u16(msg.attempts)
-        .string(msg.reason)
-        .string(msg.session_id)
-        .payload()
-    )
-
-
-def _decode_verdict(payload: bytes) -> Verdict:
-    r = _Reader(payload)
-    state = r.string()
-    attempts = r.u16()
-    reason = r.string()
-    session_id = r.string()
-    r.expect_end()
-    return Verdict(
-        state=state, attempts=attempts, reason=reason, session_id=session_id
-    )
-
-
-def _encode_error(msg: ErrorFrame) -> bytes:
-    return _Writer().string(msg.code).string(msg.detail).payload()
-
-
-def _encode_stats_request(msg: StatsRequest) -> bytes:
-    return _Writer().u8(msg.version).payload()
-
-
-def _decode_stats_request(payload: bytes) -> StatsRequest:
-    r = _Reader(payload)
-    version = r.u8()
-    r.expect_end()
-    return StatsRequest(version=version)
-
-
-def _encode_stats_response(msg: StatsResponse) -> bytes:
-    return (
-        _Writer()
-        .u8(msg.version)
-        .blob32(msg.payload_json.encode("utf-8"))
-        .payload()
-    )
-
-
-def _decode_stats_response(payload: bytes) -> StatsResponse:
-    r = _Reader(payload)
-    version = r.u8()
-    data = r.blob32()
-    r.expect_end()
-    try:
-        document = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"invalid utf-8 in stats document: {exc}")
-    return StatsResponse(payload_json=document, version=version)
-
-
-def _encode_telemetry_request(msg: TelemetryRequest) -> bytes:
-    return _Writer().u8(msg.version).u8(1 if msg.drain else 0).payload()
-
-
-def _decode_telemetry_request(payload: bytes) -> TelemetryRequest:
-    r = _Reader(payload)
-    version = r.u8()
-    drain = bool(r.u8())
-    r.expect_end()
-    return TelemetryRequest(drain=drain, version=version)
-
-
-def _encode_telemetry_response(msg: TelemetryResponse) -> bytes:
-    return (
-        _Writer()
-        .u8(msg.version)
-        .blob32(msg.payload_json.encode("utf-8"))
-        .payload()
-    )
-
-
-def _decode_telemetry_response(payload: bytes) -> TelemetryResponse:
-    r = _Reader(payload)
-    version = r.u8()
-    data = r.blob32()
-    r.expect_end()
-    try:
-        document = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"invalid utf-8 in telemetry document: {exc}")
-    return TelemetryResponse(payload_json=document, version=version)
-
-
-def _encode_ticket_grant(msg: TicketGrant) -> bytes:
-    return (
-        _Writer()
-        .u8(msg.version)
-        .string(msg.ticket_id)
-        .f64(msg.expires_at)
-        .f64(msg.lifetime_s)
-        .payload()
-    )
-
-
-def _decode_ticket_grant(payload: bytes) -> TicketGrant:
-    r = _Reader(payload)
-    version = r.u8()
-    ticket_id = r.string()
-    expires_at = r.f64()
-    lifetime_s = r.f64()
-    r.expect_end()
-    return TicketGrant(
-        ticket_id=ticket_id,
-        expires_at=expires_at,
-        lifetime_s=lifetime_s,
-        version=version,
-    )
-
-
-def _encode_resume_request(msg: ResumeRequest) -> bytes:
-    w = (
-        _Writer()
-        .u8(msg.version)
-        .string(msg.sender)
-        .string(msg.ticket_id)
-        .blob8(msg.client_nonce)
-    )
-    return _write_trace_context(w, msg.trace_context).payload()
-
-
-def _decode_resume_request(payload: bytes) -> ResumeRequest:
-    r = _Reader(payload)
-    version = r.u8()
-    sender = r.string()
-    ticket_id = r.string()
-    client_nonce = r.blob8()
-    trace_context = _read_trace_context(r)
-    r.expect_end()
-    return ResumeRequest(
-        sender=sender,
-        ticket_id=ticket_id,
-        client_nonce=client_nonce,
-        version=version,
-        trace_context=trace_context,
-    )
-
-
-def _encode_resume_accept(msg: ResumeAccept) -> bytes:
-    return (
-        _Writer()
-        .u8(msg.version)
-        .string(msg.sender)
-        .string(msg.channel_id)
-        .blob8(msg.server_nonce)
-        .blob8(msg.tag)
-        .payload()
-    )
-
-
-def _decode_resume_accept(payload: bytes) -> ResumeAccept:
-    r = _Reader(payload)
-    version = r.u8()
-    sender = r.string()
-    channel_id = r.string()
-    server_nonce = r.blob8()
-    tag = r.blob8()
-    r.expect_end()
-    return ResumeAccept(
-        sender=sender,
-        channel_id=channel_id,
-        server_nonce=server_nonce,
-        tag=tag,
-        version=version,
-    )
-
-
-def _encode_record(msg: RecordFrame) -> bytes:
-    return (
-        _Writer()
-        .u64(msg.seq)
-        .blob32(msg.ciphertext)
-        .blob8(msg.tag)
-        .payload()
-    )
-
-
-def _decode_record(payload: bytes) -> RecordFrame:
-    r = _Reader(payload)
-    seq = r.u64()
-    ciphertext = r.blob32()
-    tag = r.blob8()
-    r.expect_end()
-    return RecordFrame(seq=seq, ciphertext=ciphertext, tag=tag)
-
-
-def _encode_revoke_notice(msg: RevokeNotice) -> bytes:
-    return (
-        _Writer()
-        .u8(msg.version)
-        .string(msg.ticket_id)
-        .blob8(msg.tag)
-        .payload()
-    )
-
-
-def _decode_revoke_notice(payload: bytes) -> RevokeNotice:
-    r = _Reader(payload)
-    version = r.u8()
-    ticket_id = r.string()
-    tag = r.blob8()
-    r.expect_end()
-    return RevokeNotice(ticket_id=ticket_id, tag=tag, version=version)
-
-
-def _decode_error(payload: bytes) -> ErrorFrame:
-    r = _Reader(payload)
-    code = r.string()
-    detail = r.string()
-    r.expect_end()
-    return ErrorFrame(code=code, detail=detail)
-
-
-def _encode_repl(msg) -> bytes:
-    return (
-        _Writer()
-        .u8(msg.version)
-        .string(msg.sender)
-        .blob32(msg.payload_json.encode("utf-8"))
-        .payload()
-    )
-
-
-def _decode_repl(payload: bytes, cls):
-    r = _Reader(payload)
-    version = r.u8()
-    sender = r.string()
-    data = r.blob32()
-    r.expect_end()
-    try:
-        document = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"invalid utf-8 in replication document: {exc}")
-    return cls(sender=sender, payload_json=document, version=version)
-
-
-def _decode_repl_digest(payload: bytes) -> ReplDigest:
-    return _decode_repl(payload, ReplDigest)
-
-
-def _decode_repl_pull(payload: bytes) -> ReplPull:
-    return _decode_repl(payload, ReplPull)
-
-
-def _decode_repl_push(payload: bytes) -> ReplPush:
-    return _decode_repl(payload, ReplPush)
-
-
-_ENCODERS: Dict[type, Tuple[FrameType, Callable]] = {
-    OTAnnounce: (FrameType.OT_ANNOUNCE, _encode_announce_like),
-    OTResponse: (FrameType.OT_RESPONSE, _encode_announce_like),
-    OTCiphertextBatch: (FrameType.OT_CIPHERTEXTS, _encode_ciphertexts),
-    ReconciliationChallenge: (FrameType.RECON_CHALLENGE, _encode_challenge),
-    ConfirmationResponse: (FrameType.CONFIRM_RESPONSE, _encode_confirmation),
-    Hello: (FrameType.HELLO, _encode_hello),
-    Accept: (FrameType.ACCEPT, _encode_accept),
-    SeedGrant: (FrameType.SEED_GRANT, _encode_seed_grant),
-    ConfirmAck: (FrameType.CONFIRM_ACK, _encode_confirm_ack),
-    RoundResult: (FrameType.ROUND_RESULT, _encode_round_result),
-    Verdict: (FrameType.VERDICT, _encode_verdict),
-    ErrorFrame: (FrameType.ERROR, _encode_error),
-    StatsRequest: (FrameType.STATS_REQUEST, _encode_stats_request),
-    StatsResponse: (FrameType.STATS_RESPONSE, _encode_stats_response),
-    TelemetryRequest: (
-        FrameType.TELEMETRY_REQUEST, _encode_telemetry_request
-    ),
-    TelemetryResponse: (
-        FrameType.TELEMETRY_RESPONSE, _encode_telemetry_response
-    ),
-    TicketGrant: (FrameType.TICKET_GRANT, _encode_ticket_grant),
-    ResumeRequest: (FrameType.RESUME_REQUEST, _encode_resume_request),
-    ResumeAccept: (FrameType.RESUME_ACCEPT, _encode_resume_accept),
-    RecordFrame: (FrameType.RECORD, _encode_record),
-    RevokeNotice: (FrameType.REVOKE_NOTICE, _encode_revoke_notice),
-    ReplDigest: (FrameType.REPL_DIGEST, _encode_repl),
-    ReplPull: (FrameType.REPL_PULL, _encode_repl),
-    ReplPush: (FrameType.REPL_PUSH, _encode_repl),
-}
-
-_DECODERS: Dict[FrameType, Callable] = {
-    FrameType.OT_ANNOUNCE: _decode_announce,
-    FrameType.OT_RESPONSE: _decode_response,
-    FrameType.OT_CIPHERTEXTS: _decode_ciphertexts,
-    FrameType.RECON_CHALLENGE: _decode_challenge,
-    FrameType.CONFIRM_RESPONSE: _decode_confirmation,
-    FrameType.HELLO: _decode_hello,
-    FrameType.ACCEPT: _decode_accept,
-    FrameType.SEED_GRANT: _decode_seed_grant,
-    FrameType.CONFIRM_ACK: _decode_confirm_ack,
-    FrameType.ROUND_RESULT: _decode_round_result,
-    FrameType.VERDICT: _decode_verdict,
-    FrameType.ERROR: _decode_error,
-    FrameType.STATS_REQUEST: _decode_stats_request,
-    FrameType.STATS_RESPONSE: _decode_stats_response,
-    FrameType.TELEMETRY_REQUEST: _decode_telemetry_request,
-    FrameType.TELEMETRY_RESPONSE: _decode_telemetry_response,
-    FrameType.TICKET_GRANT: _decode_ticket_grant,
-    FrameType.RESUME_REQUEST: _decode_resume_request,
-    FrameType.RESUME_ACCEPT: _decode_resume_accept,
-    FrameType.RECORD: _decode_record,
-    FrameType.REVOKE_NOTICE: _decode_revoke_notice,
-    FrameType.REPL_DIGEST: _decode_repl_digest,
-    FrameType.REPL_PULL: _decode_repl_pull,
-    FrameType.REPL_PUSH: _decode_repl_push,
-}
+    values: Dict[str, Any] = {}
+    last = 0
+    while r.pos < len(r.data):
+        tag = U8.read(r)
+        if tag not in allowed:
+            raise DecodeError(f"unknown extension tag 0x{tag:02x}")
+        name, kind, absent = _EXTENSIONS[tag]
+        label = name.replace("_", "-")
+        if tag == last:
+            raise DecodeError(f"duplicate {label} block")
+        if tag < last:
+            raise DecodeError(f"{label} block out of order")
+        last = tag
+        values[name] = kind.read(r)
+        if values[name] == absent:
+            raise DecodeError(f"empty {label} block")
+    return values
 
 
 # -- public API ---------------------------------------------------------------
@@ -1188,33 +678,47 @@ _DECODERS: Dict[FrameType, Callable] = {
 def encode_message(message) -> Frame:
     """Serialize any wire message into a typed frame."""
     try:
-        frame_type, encoder = _ENCODERS[type(message)]
+        frame_type, fields, extensions = _SPECS[type(message)]
     except KeyError:
         raise ProtocolError(
             f"{type(message).__name__} is not a wire message"
         )
-    return Frame(frame_type, encoder(message))
+    out: List[bytes] = []
+    _write_fields(out, message, fields)
+    for tag in extensions:
+        name, kind, absent = _EXTENSIONS[tag]
+        value = getattr(message, name)
+        if value != absent:
+            U8.write(out, tag)
+            kind.write(out, value)
+    return Frame(frame_type, b"".join(out))
 
 
 def decode_payload(frame: Frame):
     """Deserialize a frame back into its message object.
 
     Raises :class:`DecodeError` on unknown types, truncated payloads,
-    and trailing bytes; message-level validation failures (empty
-    announce, short nonce...) surface as :class:`ProtocolError` from
-    the dataclass constructors.
-    """
+    trailing bytes, bad extensions and non-canonical fields; message
+    validation failures (empty announce, short nonce...) surface as
+    :class:`ProtocolError` from the dataclass constructors."""
     try:
-        frame_type = FrameType(frame.type)
-    except ValueError:
+        cls, (_, fields, extensions) = _BY_FRAME_TYPE[frame.type]
+    except KeyError:
         raise DecodeError(f"unknown frame type 0x{int(frame.type):02x}")
-    return _DECODERS[frame_type](frame.payload)
+    r = _Reader(frame.payload)
+    try:
+        values = _read_fields(r, fields)
+        if r.pos < len(r.data):
+            values.update(_read_extensions(r, extensions))
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"invalid utf-8 in string field: {exc}")
+    return cls(**values)
 
 
 def frame_to_bytes(frame: Frame) -> bytes:
     """Wrap a frame in the length-prefixed wire header."""
     body_len = len(frame.payload) + 1
-    return struct.pack("!IB", body_len, int(frame.type)) + frame.payload
+    return _HEADER.pack(body_len, int(frame.type)) + frame.payload
 
 
 def read_frame(

@@ -19,7 +19,6 @@ side.
 from __future__ import annotations
 
 import socket
-import struct
 import time
 from typing import Optional, Tuple
 
@@ -30,6 +29,7 @@ from repro.errors import (
 )
 from repro.net.codec import (
     DEFAULT_MAX_FRAME_BYTES,
+    HEADER_BYTES,
     Frame,
     decode_payload,
     encode_message,
@@ -189,7 +189,7 @@ class FrameConnection:
             ).inc()
             self.metrics.counter(
                 "net.bytes_received", labels=_LABELS
-            ).inc(len(frame.payload) + struct.calcsize("!IB"))
+            ).inc(len(frame.payload) + HEADER_BYTES)
             self.metrics.histogram(
                 "net.decode_s", labels=_LABELS
             ).observe(decode_s)

@@ -56,7 +56,6 @@ import contextlib
 import json
 import queue
 import socket
-import struct
 import threading
 import time
 from typing import Optional, Tuple
@@ -82,6 +81,7 @@ from repro.errors import (
 )
 from repro.net.codec import (
     DEFAULT_MAX_FRAME_BYTES,
+    HEADER_BYTES,
     PROTOCOL_VERSION,
     Accept,
     ConfirmAck,
@@ -123,7 +123,6 @@ from repro.service.sessions import AccessRequest, SessionState
 from repro.utils.rng import child_rng
 
 _UNSET = object()
-_FRAME_HEADER_BYTES = struct.calcsize("!IB")
 
 
 class _NetAgreement:
@@ -579,7 +578,7 @@ class WaveKeyTCPServer:
         metrics.counter("net.frames_received", labels=self._labels).inc()
         metrics.counter(
             "net.bytes_received", labels=self._labels
-        ).inc(payload_len + _FRAME_HEADER_BYTES)
+        ).inc(payload_len + HEADER_BYTES)
         metrics.histogram(
             "net.decode_s", labels=self._labels
         ).observe(decode_s)

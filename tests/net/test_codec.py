@@ -379,22 +379,9 @@ def dataclasses_replace(message, context):
     return dataclasses.replace(message, trace_context=context)
 
 
-@pytest.mark.parametrize(
-    "message",
-    _traceable_messages(SAMPLE_CONTEXT) + _traceable_messages(None),
-    ids=lambda m: (
-        f"{type(m).__name__}-"
-        f"{'traced' if m.trace_context else 'bare'}"
-    ),
-)
-def test_trace_context_wire_size_reconciles(message):
-    """``wire_size_bytes`` stays exact with and without the tail."""
-    assert len(encode_message(message).payload) == message.wire_size_bytes()
-
-
 def test_unknown_trace_marker_raises_decode_error():
     frame = encode_message(Hello(sender="m", rng_seed=1))
-    with pytest.raises(DecodeError, match="trace-context marker"):
+    with pytest.raises(DecodeError, match="unknown extension tag"):
         decode_payload(Frame(frame.type, frame.payload + b"\x7f"))
 
 
@@ -440,15 +427,6 @@ def test_default_group_hello_is_byte_identical():
     assert decode_payload(encode_message(
         Hello(sender="mobile", rng_seed=17)
     )).group_id == ""
-
-
-def test_hello_group_id_wire_size_reconciles():
-    for group_id in ("", "curve25519"):
-        message = Hello(sender="mobile", rng_seed=17, group_id=group_id)
-        assert (
-            len(encode_message(message).payload)
-            == message.wire_size_bytes()
-        )
 
 
 def test_duplicate_group_block_raises():
@@ -501,3 +479,82 @@ def test_telemetry_frame_types_are_distinct():
         TelemetryResponse(payload_json="{}")
     ).type == FrameType.TELEMETRY_RESPONSE
     assert FrameType.TELEMETRY_REQUEST != FrameType.STATS_REQUEST
+
+
+# -- canonical decoding: one message, one encoding ----------------------------
+
+
+def _flag_payloads():
+    """(frame type, payload) per flag field, with the flag byte set to 2."""
+    hello = encode_message(Hello(sender="m", rng_seed=1)).payload
+    # the sampled flag, then the u16 length of the empty service string
+    traced = encode_message(ResumeRequest(
+        sender="m", ticket_id="t", client_nonce=b"",
+        trace_context=TraceContext(trace_id="t", span_id="s"),
+    )).payload
+    assert traced.endswith(b"\x01\x00\x00")
+    return {
+        "hello-dynamic": (FrameType.HELLO, hello[:-1] + b"\x02"),
+        "confirm-ack-ok": (FrameType.CONFIRM_ACK, b"\x02\x00"),
+        "round-result-success": (FrameType.ROUND_RESULT, b"\x02\x00\x00"),
+        "telemetry-drain": (FrameType.TELEMETRY_REQUEST, b"\x01\x02"),
+        "trace-sampled": (
+            FrameType.RESUME_REQUEST, traced[:-3] + b"\x02\x00\x00"
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_flag_payloads()))
+def test_flag_byte_other_than_0_or_1_rejected(name):
+    frame_type, payload = _flag_payloads()[name]
+    with pytest.raises(DecodeError, match="flag"):
+        decode_payload(Frame(frame_type, payload))
+
+
+@pytest.mark.parametrize(
+    "message, from_end",
+    [
+        (SeedGrant(attempt=1, seed=BitSequence([1, 0, 1])), 1),
+        # the sketch's last byte sits before the blob8 nonce (1 + 8 bytes)
+        (
+            ReconciliationChallenge(
+                sender="m", sketch=BitSequence([1] * 13), nonce=bytes(8)
+            ),
+            10,
+        ),
+    ],
+    ids=["SeedGrant", "ReconciliationChallenge"],
+)
+def test_nonzero_padding_bits_rejected(message, from_end):
+    frame = encode_message(message)
+    payload = bytearray(frame.payload)
+    assert payload[-from_end] & 0x01 == 0
+    payload[-from_end] |= 0x01
+    with pytest.raises(DecodeError, match="padding"):
+        decode_payload(Frame(frame.type, bytes(payload)))
+
+
+def test_non_minimal_integer_rejected():
+    # Hello's rng_seed as u16 length 2 + 00 05: the value 5 with a
+    # leading zero byte; the encoder only ever writes 01 05
+    payload = b"\x01" + b"\x00\x01m" + b"\x00\x02\x00\x05" + b"\x00"
+    with pytest.raises(DecodeError, match="non-minimal"):
+        decode_payload(Frame(FrameType.HELLO, payload))
+    assert decode_payload(
+        Frame(FrameType.HELLO, b"\x01\x00\x01m\x00\x01\x05\x00")
+    ).rng_seed == 5
+
+
+def test_extension_tags_out_of_order_rejected():
+    bare = encode_message(Hello(sender="m", rng_seed=1)).payload
+    both = encode_message(Hello(
+        sender="m", rng_seed=1,
+        trace_context=SAMPLE_CONTEXT, group_id="curve25519",
+    )).payload
+    trace_block = both[len(bare):-(3 + len("curve25519"))]
+    group_block = both[len(bare) + len(trace_block):]
+    assert bare + trace_block + group_block == both
+    with pytest.raises(DecodeError, match="order"):
+        decode_payload(
+            Frame(FrameType.HELLO, bare + group_block + trace_block)
+        )
