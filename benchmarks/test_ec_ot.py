@@ -6,12 +6,12 @@ upgrade costs on this implementation.  Both groups run the identical
 pooled batched-OT workload and identical end-to-end establishments, so
 the recorded numbers are a like-for-like latency comparison:
 
-* batched-OT microbenchmark — ``run_batch_ot`` wall time per group,
+* batched-OT microbenchmark — ``run_ot_round`` wall time per group,
   comb-only and pooled (per-OT latency in the table);
 * end-to-end establishment — sessions through the access server with a
   live refill worker, per-establishment latency per group;
 * pool exhaustion under the curve — a depth-2 pool against
-  ~100-instance sessions must change zero session outcomes, exactly as
+  ~100-instance rounds must change zero session outcomes, exactly as
   the MODP fast path guarantees.
 
 No speedup threshold is pinned between the groups (the curve is pure
@@ -36,7 +36,7 @@ from repro.crypto import (
     CURVE25519_GROUP,
     OTMaterialPool,
     WAVEKEY_GROUP_512,
-    run_batch_ot,
+    run_ot_round,
 )
 from repro.protocol import KeyAgreementConfig
 from repro.service import AccessRequest, ServiceConfig, WaveKeyAccessServer
@@ -83,7 +83,7 @@ def test_batched_ot_latency_by_group():
         group.comb()  # build tables outside the timed region
 
         def comb_only():
-            assert run_batch_ot(group, pairs, choices, 1, 2) == expected
+            assert run_ot_round(group, pairs, choices, 1, 2) == expected
 
         comb_s = _best_of(comb_only)
 
@@ -93,7 +93,7 @@ def test_batched_ot_latency_by_group():
             pool.register(group)
             pool.fill()
             start = time.perf_counter()
-            assert run_batch_ot(
+            assert run_ot_round(
                 group, pairs, choices, 1, 2, pool=pool
             ) == expected
             return time.perf_counter() - start
@@ -200,8 +200,10 @@ def test_curve_pool_exhaustion_degrades_gracefully(bundle):
         bundle, ServiceConfig(workers=2, ot_pool_depth=2), config, seeds,
     )
 
+    # A round takes one sender tuple but ~100 receiver tuples: the
+    # receiver stock is the one a depth-2 pool starves.
     misses = counters.get(
-        'crypto.pool.miss{group="curve25519",kind="sender"}', 0
+        'crypto.pool.miss{group="curve25519",kind="receiver"}', 0
     )
     assert misses > 0, "depth-2 pool never missed — benchmark is broken"
     assert [r.success for r in starved_records] == [
@@ -213,6 +215,6 @@ def test_curve_pool_exhaustion_degrades_gracefully(bundle):
     )
     _record("curve_pool_exhaustion", {
         "sessions": n,
-        "sender_misses": misses,
+        "receiver_misses": misses,
         "outcomes_match_baseline": True,
     })

@@ -1,11 +1,12 @@
 """OT fast path: fixed-base comb + warm material pool vs the naive path.
 
-One WaveKey establishment runs ~100 Chou-Orlandi OT instances in each
-direction, and the naive arithmetic spends five full-width modular
-exponentiations (plus one inverse) per instance.  The fast path stacks
-three standard levers:
+One WaveKey establishment runs a round of ~100 Chou-Orlandi OT
+instances in each direction, and the naive arithmetic spends four
+full-width modular exponentiations (plus one inverse) per instance.
+The fast path stacks three standard levers:
 
-* **fixed-base comb** tables for every ``g^x`` (one multiplication per
+* **fixed-base comb** tables for every ``g^x``, and one per-round table
+  on the peer's ``S`` for the receiver's keys (one multiplication per
   exponent digit, no squarings);
 * **short secret exponents** (256-bit for the 512-bit simulation group,
   RFC 7919 s5.2) halving every remaining variable-base ``pow``;
@@ -14,11 +15,11 @@ three standard levers:
 
 Three measurements:
 
-* batched-OT microbenchmark — ``run_batch_ot`` wall time, naive vs
+* batched-OT microbenchmark — ``run_ot_round`` wall time, naive vs
   comb-only vs pooled (pinned: pooled >= 2.5x naive);
 * end-to-end establishment throughput through the access server with a
   live refill worker, fast vs naive configuration;
-* pool exhaustion — a depth-2 pool against ~100-instance sessions must
+* pool exhaustion — a depth-2 pool against ~100-instance rounds must
   degrade to inline compute (counted misses) with zero failed sessions.
 
 Thresholds relax via ``WAVEKEY_OT_FASTPATH_MIN_SPEEDUP`` /
@@ -38,7 +39,7 @@ import time
 
 from benchmarks.conftest import bench_scale
 from repro.analysis import format_table
-from repro.crypto import OTMaterialPool, WAVEKEY_GROUP_512, run_batch_ot
+from repro.crypto import OTMaterialPool, WAVEKEY_GROUP_512, run_ot_round
 from repro.protocol import KeyAgreementConfig
 from repro.service import AccessRequest, ServiceConfig, WaveKeyAccessServer
 
@@ -87,10 +88,10 @@ def test_batched_ot_speedup():
     expected = [pairs[i][c] for i, c in enumerate(choices)]
 
     def naive():
-        assert run_batch_ot(NAIVE_GROUP, pairs, choices, 1, 2) == expected
+        assert run_ot_round(NAIVE_GROUP, pairs, choices, 1, 2) == expected
 
     def comb_only():
-        assert run_batch_ot(FAST_GROUP, pairs, choices, 1, 2) == expected
+        assert run_ot_round(FAST_GROUP, pairs, choices, 1, 2) == expected
 
     FAST_GROUP.comb()  # build tables outside the timed region
     naive_s = _best_of(naive)
@@ -102,7 +103,7 @@ def test_batched_ot_speedup():
         pool.register(FAST_GROUP)
         pool.fill()
         start = time.perf_counter()
-        assert run_batch_ot(
+        assert run_ot_round(
             FAST_GROUP, pairs, choices, 1, 2, pool=pool
         ) == expected
         return time.perf_counter() - start
@@ -226,7 +227,8 @@ def test_pool_exhaustion_degrades_gracefully(bundle):
         seeds,
     )
     # Depth 2 against ~100 OT instances per session: essentially every
-    # take is a miss, computed inline.
+    # receiver take is a miss, computed inline.  (A round takes one
+    # sender tuple, which the refill worker may keep up with.)
     _, starved_records, counters = _serve_sessions(
         bundle,
         ServiceConfig(workers=2, ot_pool_depth=2),
@@ -235,7 +237,7 @@ def test_pool_exhaustion_degrades_gracefully(bundle):
     )
 
     misses = counters.get(
-        'crypto.pool.miss{group="wavekey-512",kind="sender"}', 0
+        'crypto.pool.miss{group="wavekey-512",kind="receiver"}', 0
     )
     assert misses > 0, "depth-2 pool never missed — benchmark is broken"
     assert [r.success for r in starved_records] == [
@@ -247,6 +249,6 @@ def test_pool_exhaustion_degrades_gracefully(bundle):
     )
     _record("pool_exhaustion", {
         "sessions": n,
-        "sender_misses": misses,
+        "receiver_misses": misses,
         "outcomes_match_baseline": True,
     })

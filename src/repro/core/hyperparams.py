@@ -37,12 +37,13 @@ from repro.core.training import (
 )
 from repro.crypto.group import Group
 from repro.crypto.numbers import WAVEKEY_GROUP_512
-from repro.crypto.ot import OTSender
 from repro.datasets.generation import WaveKeyDataset
 from repro.errors import ConfigurationError
 from repro.nn.layers import Reshape
 from repro.nn.pruning import output_variances, prune_feature_unit
+from repro.protocol.agreement import AgreementParty, KeyAgreementConfig
 from repro.quantize import KeySeedQuantizer
+from repro.utils.bits import BitSequence
 from repro.utils.rng import child_rng, ensure_rng
 
 
@@ -326,18 +327,28 @@ def determine_tau(
     headroom: float = 1.2,
     rng=None,
 ) -> TauMeasurement:
-    """Time the crafting of ``M_A`` (one announce per OT instance, i.e.
-    ``seed_length`` modexps) and set ``tau`` with multiplicative
-    headroom, mirroring SVI-C.3 (100 ms observed -> tau = 120 ms)."""
-    if seed_length < 1 or n_trials < 1:
-        raise ConfigurationError("seed_length and n_trials must be >= 1")
+    """Time :meth:`AgreementParty.craft_announce`, the ``M_A`` a device
+    really sends over ``group``, and set ``tau`` with multiplicative
+    headroom, mirroring SVI-C.3 (100 ms observed -> tau = 120 ms).
+
+    The group's fixed-base table is built before the first trial, as
+    the client SDK and the pooled server build it before any round.
+    """
+    if seed_length < 2 or n_trials < 1:
+        raise ConfigurationError(
+            "seed_length must be >= 2 and n_trials >= 1"
+        )
     rng = ensure_rng(rng)
+    config = KeyAgreementConfig(group=group)
+    if group.comb_enabled:
+        group.power(1)
     times = np.empty(n_trials)
     for trial in range(n_trials):
+        party = AgreementParty(
+            "mobile", BitSequence.random(seed_length, rng), config, rng
+        )
         start = time.perf_counter()
-        senders = [OTSender(group, rng) for _ in range(seed_length)]
-        for sender in senders:
-            sender.announce()
+        party.craft_announce()
         times[trial] = time.perf_counter() - start
     return TauMeasurement(
         prep_times_s=times, tau_s=float(times.max() * headroom)

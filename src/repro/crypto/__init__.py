@@ -14,8 +14,9 @@ implemented from scratch on the Python standard library + numpy:
   *elliptic curve*; :mod:`repro.crypto.ecc` is the *error-correcting
   code* reconciliation (the paper's "ECC" abbreviation), not curves.
 * :mod:`repro.crypto.ot` — the computationally efficient 1-out-of-2
-  Oblivious Transfer of Chou & Orlandi (paper Fig. 3), with the batched
-  variant the protocol uses to combine all instances into three messages.
+  Oblivious Transfer of Chou & Orlandi (paper Fig. 3) in its batch
+  form: one sender secret keys a whole round of instances, which the
+  protocol combines into three messages.
 * :mod:`repro.crypto.pool` — warm OT material: single-use sender/receiver
   exponent tuples precomputed off the hot path by a watermark-driven
   background refill worker, so the request path only pays the per-peer
@@ -47,11 +48,9 @@ from repro.crypto.pool import (
 )
 from repro.crypto.symmetric import xor_cipher
 from repro.crypto.ot import (
-    OTReceiver,
-    OTSender,
-    batch_announce,
-    batch_respond,
-    run_batch_ot,
+    OTReceiverRound,
+    OTSenderRound,
+    run_ot_round,
 )
 from repro.crypto.gf2 import GF2m
 from repro.crypto.bch import BCHCode, design_bch
@@ -77,14 +76,12 @@ __all__ = [
     "hkdf_stream",
     "hmac_digest",
     "xor_cipher",
-    "OTSender",
-    "OTReceiver",
+    "OTSenderRound",
+    "OTReceiverRound",
     "OTMaterialPool",
     "SenderMaterial",
     "ReceiverMaterial",
-    "batch_announce",
-    "batch_respond",
-    "run_batch_ot",
+    "run_ot_round",
     "GF2m",
     "BCHCode",
     "design_bch",

@@ -18,8 +18,8 @@ Two coordinate systems, cross-checked against each other:
   (birationally equivalent, RFC 8032 point arithmetic in extended
   homogeneous coordinates) — used by the OT, because Chou-Orlandi
   needs full group-law arithmetic: the receiver's masked reply is
-  ``M_b = M_a + g^b`` and the sender's second key is
-  ``(M_b - M_a) * a``, neither of which the x-only ladder can form.
+  ``R = S + x*B`` and the sender's second key is ``y * (R - S)``,
+  neither of which the x-only ladder can form.
 
 Scalars are clamped per RFC 7748 (multiples of 8 in
 ``[2^254, 2^254 + 8*(2^251 - 1)]``): the cofactor-8 curve has small
@@ -37,7 +37,9 @@ counted in field multiplications and inversions: inversions use
 CPython's C-level ``pow(z, -1, p)`` (decoding folds its division into
 the square root), variable-base :func:`scalar_mul` uses signed radix-16
 digits over cached points, and the fixed-base :class:`EdwardsComb`
-stores affine rows for 7-multiplication mixed additions.  Every fast
+stores affine rows for 7-multiplication mixed additions — on the base
+point for the group, and per OT round on the peer's announce for the
+receiver's keys (:meth:`Curve25519Group.comb_for`).  Every fast
 path is cross-checked against :func:`scalar_mul_naive`, and the wire
 bytes are pinned by ``tests/crypto/test_ot_transcript.py``.
 """
@@ -388,6 +390,12 @@ def scalar_mul_naive(point: EdwardsPoint, n: int) -> EdwardsPoint:
 #: window 8 powers no faster but takes ~130 ms to build.
 COMB_WINDOW = 6
 
+#: Comb window of the per-round table on a peer's OT announce, which
+#: serves one round's 36 receiver keys and is then dropped.  Measured
+#: build + 36 powers (EXPERIMENTS.md "Batch-form OT"): window 2 21.2 ms,
+#: 3 19.7 ms, 4 21.8 ms, 5 27.7 ms, against 48.0 ms for 36 scalar_mul.
+ELEMENT_COMB_WINDOW = 3
+
 
 def _batch_invert(values: List[int]) -> List[int]:
     """Inverses of every (non-zero) value with one field inversion
@@ -458,9 +466,17 @@ class EdwardsComb:
         return self.digits * (1 << self.window)
 
     def power(self, exponent: int) -> EdwardsPoint:
-        """``exponent * base`` for exponents within the table range."""
-        if exponent < 0 or exponent.bit_length() > self.digits * self.window:
-            return scalar_mul(self.base, exponent % L)
+        """Exactly ``exponent * base``.
+
+        Exponents outside the table range fall back to
+        :func:`scalar_mul` *without* reducing mod ``L``: the base may
+        be a peer's point with a small-order component, which only the
+        unreduced (clamped, multiple-of-8) scalar clears.
+        """
+        if exponent < 0:
+            return scalar_mul(self.base, -exponent).negate()
+        if exponent.bit_length() > self.digits * self.window:
+            return scalar_mul(self.base, exponent)
         p, m = P, _MASK
         X, Y, Z, T = 0, 1, 1, 0
         mask = (1 << self.window) - 1
@@ -546,6 +562,9 @@ class Curve25519Group(Group):
 
     def power_naive(self, exponent: int) -> EdwardsPoint:
         return scalar_mul_naive(BASE_POINT, exponent % L)
+
+    def comb_for(self, element: EdwardsPoint) -> EdwardsComb:
+        return EdwardsComb(element, window=ELEMENT_COMB_WINDOW)
 
     def exp(self, element: EdwardsPoint, exponent: int) -> EdwardsPoint:
         return scalar_mul(element, exponent)

@@ -1,13 +1,14 @@
 """The abstract group interface the OT stack is generic over.
 
-The Chou-Orlandi OT (paper Fig. 3) only needs a cyclic group with a
-fixed generator: announce is ``g^a``, the receiver's masked reply is
-``g^b`` or ``M_a * g^b``, and both key derivations are one variable-base
-exponentiation (plus, on the sender side, one division — or one
-multiplication by the precomputed ``M_a^{-a}``).  :class:`Group`
-captures exactly that contract so the same :class:`~repro.crypto.ot`
-machinery runs over the multiplicative MODP groups of
-:mod:`repro.crypto.numbers` *and* the Curve25519 group of
+The Chou-Orlandi OT (batch form of paper Fig. 3) only needs a cyclic
+group with a fixed generator: the round's announce is ``S = g^y``, the
+receiver's masked reply is ``g^x`` or ``S * g^x``, the sender's keys are
+one variable-base exponentiation (plus one division — or one
+multiplication by the precomputed ``S^{-y}``), and the receiver's keys
+are powers of the one base ``S`` (:meth:`Group.comb_for`).
+:class:`Group` captures exactly that contract so the same
+:class:`~repro.crypto.ot` machinery runs over the multiplicative MODP
+groups of :mod:`repro.crypto.numbers` *and* the Curve25519 group of
 :mod:`repro.crypto.curve` (where "multiplication" is point addition and
 "exponentiation" is scalar multiplication — the abstract operation
 names stay multiplicative to match the paper's notation).
@@ -68,6 +69,16 @@ class Group(ABC):
     @abstractmethod
     def power_naive(self, exponent: int):
         """``g^exponent`` via the reference (table-free) arithmetic."""
+
+    @abstractmethod
+    def comb_for(self, element):
+        """An uncached fixed-base table on ``element``.
+
+        Its ``power(n)`` equals :meth:`exp` ``(element, n)`` for every
+        ``n >= 0``.  The table pays off when one base meets many
+        exponents, as the peer's ``S`` does with one OT round's
+        receiver keys.
+        """
 
     # -- element arithmetic ------------------------------------------------
 

@@ -28,6 +28,13 @@ from repro.utils.rng import ensure_rng
 #: Override per call site, or process-wide via ``WAVEKEY_COMB_WINDOW``.
 DEFAULT_COMB_WINDOW = int(os.environ.get("WAVEKEY_COMB_WINDOW", "6"))
 
+#: Window of the per-element tables :meth:`DHGroup.comb_for` builds for
+#: one OT round's 36 receiver keys on a peer's announce.  Measured
+#: build + 36 powers of 256-bit exponents on the 512-bit group
+#: (EXPERIMENTS.md "Batch-form OT"): window 2 10.2 ms, 3 8.7 ms, 4
+#: 8.0 ms, 5 8.6 ms, 6 10.3 ms, against 22.2 ms for 36 ``pow``.
+ELEMENT_COMB_WINDOW = 4
+
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
@@ -264,19 +271,21 @@ class DHGroup(Group):
                     combs[width] = table
         return table
 
-    def comb_for(
-        self, base: int, window: Optional[int] = None
-    ) -> FixedBaseComb:
+    def comb_for(self, base: int) -> FixedBaseComb:
         """An *uncached* comb for an arbitrary in-group base.
 
-        Only profitable when ``base`` will be exponentiated at least
-        ~``digits`` times (table build costs ``entries``
-        multiplications); per-session peer elements such as a single
-        OT instance's ``M_a`` are used once or twice and should stay
-        on ``pow``.
+        Sized to this group's secret-exponent policy, so wider
+        exponents take the ``pow`` fallback.  Only profitable when
+        ``base`` meets many exponents (table build costs ``entries``
+        multiplications), as a peer's OT announce does with one round's
+        receiver keys.
         """
-        width = window or self._comb_window or DEFAULT_COMB_WINDOW
-        return FixedBaseComb(base, self.prime, window=width)
+        return FixedBaseComb(
+            base,
+            self.prime,
+            max_exponent_bits=self._exponent_bits,
+            window=ELEMENT_COMB_WINDOW,
+        )
 
     def random_exponent(self, rng) -> int:
         """Uniform secret exponent in [1, prime - 2].

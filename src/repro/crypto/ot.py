@@ -1,35 +1,45 @@
-"""1-out-of-2 Oblivious Transfer (paper Fig. 3).
+"""1-out-of-2 Oblivious Transfer in the Chou–Orlandi batch form.
 
-WaveKey uses the computationally efficient OT of Chou & Orlandi ("The
-simplest protocol for oblivious transfer", LATINCRYPT 2015), in the form
-the paper presents:
+The paper's Fig. 3 runs each OT instance with its own sender secret
+``a``.  WaveKey runs ``l_s`` instances per direction per round, so this
+module uses the batch form of Chou & Orlandi ("The Simplest Protocol
+for Oblivious Transfer", LATINCRYPT 2015, §3): one sender secret ``y``
+keys every instance of a round.
 
-* the sender draws ``a`` and announces ``M_a = g^a mod u``;
-* the receiver draws ``b`` and answers ``M_b = g^b`` to select secret 0,
-  or ``M_b = M_a * g^b`` to select secret 1;
-* the sender encrypts secret 0 under ``H(M_b^a)`` and secret 1 under
-  ``H((M_b / M_a)^a)`` — exactly one of which equals the receiver's
-  ``H(M_a^b)``.
+* The sender draws ``y`` and announces one element ``S = g^y``.
+* For instance ``i`` the receiver draws ``x_i`` and answers
+  ``R_i = g^{x_i}`` to select secret 0, or ``R_i = S * g^{x_i}`` to
+  select secret 1.
+* The sender keys instance ``i`` as ``k0 = H(i, S, R_i, R_i^y)`` and
+  ``k1 = H(i, S, R_i, (R_i / S)^y)``.  Exactly one of them equals the
+  receiver's ``H(i, S, R_i, S^{x_i})``.
 
-The batched helpers run ``l_s`` independent instances and concatenate
-their wire messages, which is how the protocol compresses all instances
-into the three messages ``M_A``, ``M_B``, ``M_E`` of Fig. 4.
+Binding the index ``i`` and the transcript ``(S, R_i)`` into the hash
+is what makes one ``y`` safe to share: a receiver that replays ``R_j``
+at index ``i`` gets a different key at ``i`` than at ``j``.  The sender
+and receiver roles exchange wire bytes, so the keys hash exactly the
+bytes that crossed the wire, and :meth:`Group.decode_element` validates
+every peer element before any exponent touches it.
 
-Fast path (two layers, both falling back to the naive arithmetic):
+Fast paths, each with the reference arithmetic kept beside it:
 
-* the fixed-base exponentiations ``g^a`` / ``g^b`` run through the
-  per-group :class:`~repro.crypto.numbers.FixedBaseComb` tables, and
-  the sender's second key collapses to one multiplication via the
-  precomputed factor ``M_a^{-a}`` (``(M_b / M_a)^a = M_b^a *
-  M_a^{-a}``);
-* both tuples can be drawn ready-made from an
-  :class:`~repro.crypto.pool.OTMaterialPool` (the ``material=``
-  arguments and the pool-aware batch helpers), leaving only the
-  per-peer variable-base exponentiations on the request path.
+* The receiver's ``l_s`` key powers ``S^{x_i}`` share one base, so they
+  run through one per-round fixed-base table
+  (:meth:`~repro.crypto.group.Group.comb_for`).  A comb-disabled MODP
+  clone keeps plain :meth:`~repro.crypto.group.Group.exp`.
+* The sender's second key is one multiplication by the precomputed
+  ``S^{-y} = g^{-y^2}`` (:func:`~repro.crypto.pool.sender_k1_factor`)
+  instead of a division and an exponentiation.
+* The fixed-base powers ``g^y`` and ``g^{x_i}`` can come ready-made
+  from an :class:`~repro.crypto.pool.OTMaterialPool`: the sender claims
+  one :class:`~repro.crypto.pool.SenderMaterial` per round, the
+  receiver one :class:`~repro.crypto.pool.ReceiverMaterial` per
+  instance.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,166 +63,172 @@ class OTCiphertexts:
     e1: bytes
 
 
-class OTSender:
-    """Sender role of one 1-out-of-2 OT instance."""
+def instance_key(
+    group: Group, index: int, announce: bytes, response: bytes, element
+) -> bytes:
+    """``H(i, S, R_i, element)``: the key of OT instance ``index``.
+
+    Every field is length-prefixed, and the group id separates the
+    domains of the two groups, so no two distinct inputs hash alike.
+    """
+    h = hashlib.sha256(b"wavekey-ot-co15|")
+    h.update(group.name.encode("ascii"))
+    for part in (
+        index.to_bytes(4, "big"),
+        announce,
+        response,
+        group.encode_element(element),
+    ):
+        h.update(len(part).to_bytes(4, "big"))
+        h.update(part)
+    return h.digest()
+
+
+class OTSenderRound:
+    """Sender side of one round: every instance keyed by one ``y``."""
 
     def __init__(self, group: Group, rng=None):
         self.group = group
         self._rng = ensure_rng(rng)
-        self._a: Optional[int] = None
-        self._m_a = None
+        self._y: Optional[int] = None
+        self._s = None
         self._k1_factor = None
+        self._announce: Optional[bytes] = None
 
-    def announce(self, material: Optional[SenderMaterial] = None):
-        """Phase 1: draw ``a`` and return ``M_a = g^a``.
+    def announce(self, material: Optional[SenderMaterial] = None) -> bytes:
+        """Draw ``y`` and return the encoded ``S = g^y``.
 
         With pooled ``material`` the tuple was precomputed off the hot
         path; claiming it enforces single use.
         """
+        group = self.group
         if material is not None:
-            material.claim(self.group)
-            self._a = material.a
-            self._m_a = material.m_a
+            material.claim(group)
+            self._y, self._s = material.y, material.s
             self._k1_factor = material.k1_factor
         else:
-            self._a = self.group.random_exponent(self._rng)
-            self._m_a = self.group.power(self._a)
-            # One extra comb exponentiation here converts encrypt()'s
-            # second key from (inverse + pow) into one multiplication.
-            # Without the comb the trade is a wash, so the naive clone
-            # keeps the reference division-based arithmetic.
+            self._y = group.random_exponent(self._rng)
+            self._s = group.power(self._y)
+            # Without the comb the extra fixed-base power costs what it
+            # saves, so the naive clone keeps the division-based key.
             self._k1_factor = (
-                sender_k1_factor(self.group, self._a)
-                if self.group.comb_enabled
+                sender_k1_factor(group, self._y)
+                if group.comb_enabled
                 else None
             )
-        return self._m_a
+        self._announce = group.encode_element(self._s)
+        return self._announce
 
-    def encrypt(self, m_b, secret0: bytes, secret1: bytes) -> OTCiphertexts:
-        """Phase 3: encrypt both secrets against the receiver's ``M_b``."""
-        if self._a is None:
-            raise ProtocolError("OTSender.encrypt before announce")
-        if not self.group.contains(m_b):
-            raise ProtocolError("receiver message outside the group")
-        if len(secret0) != len(secret1):
-            raise CryptoError("OT secrets must have equal length")
-        k0_element = self.group.exp(m_b, self._a)
-        if self._k1_factor is not None:
-            # (M_b / M_a)^a == M_b^a * M_a^{-a}, with M_a^{-a}
-            # precomputed at announce/pool time.
-            k1_element = self.group.mul(k0_element, self._k1_factor)
-        else:
-            k1_element = self.group.exp(
-                self.group.div(m_b, self._m_a), self._a
+    def encrypt(
+        self,
+        responses: Sequence[bytes],
+        secret_pairs: Sequence[Tuple[bytes, bytes]],
+    ) -> List[OTCiphertexts]:
+        """Encrypt pair ``i`` against the receiver's encoded ``R_i``."""
+        if self._y is None:
+            raise ProtocolError("OTSenderRound.encrypt before announce")
+        if len(responses) != len(secret_pairs):
+            raise ProtocolError(
+                f"expected {len(secret_pairs)} OT responses, got "
+                f"{len(responses)}"
             )
-        k0 = self.group.hash_element(k0_element)
-        k1 = self.group.hash_element(k1_element)
-        return OTCiphertexts(
-            e0=xor_cipher(secret0, k0, b"ot0"),
-            e1=xor_cipher(secret1, k1, b"ot1"),
-        )
+        group, y = self.group, self._y
+        out = []
+        for i, (response, (secret0, secret1)) in enumerate(
+            zip(responses, secret_pairs)
+        ):
+            if len(secret0) != len(secret1):
+                raise CryptoError("OT secrets must have equal length")
+            r = group.decode_element(response)
+            k0_element = group.exp(r, y)
+            if self._k1_factor is not None:
+                # (R / S)^y == R^y * S^{-y}, with S^{-y} precomputed.
+                k1_element = group.mul(k0_element, self._k1_factor)
+            else:
+                k1_element = group.exp(group.div(r, self._s), y)
+            k0 = instance_key(group, i, self._announce, response, k0_element)
+            k1 = instance_key(group, i, self._announce, response, k1_element)
+            out.append(OTCiphertexts(
+                e0=xor_cipher(secret0, k0, b"ot0"),
+                e1=xor_cipher(secret1, k1, b"ot1"),
+            ))
+        return out
 
 
-class OTReceiver:
-    """Receiver role of one 1-out-of-2 OT instance."""
+class OTReceiverRound:
+    """Receiver side of one round: one choice bit per instance."""
 
     def __init__(self, group: Group, rng=None):
         self.group = group
         self._rng = ensure_rng(rng)
-        self._b: Optional[int] = None
-        self._choice: Optional[int] = None
-        self._m_a = None
+        self._s = None
+        self._announce: Optional[bytes] = None
+        self._choices: List[int] = []
+        self._exponents: List[int] = []
+        self._responses: List[bytes] = []
 
     def respond(
         self,
-        m_a,
-        choice: int,
-        material: Optional[ReceiverMaterial] = None,
-    ):
-        """Phase 2: answer ``M_a`` with ``M_b`` crafted for ``choice``."""
-        if choice not in (0, 1):
-            raise ProtocolError(f"OT choice must be 0 or 1, got {choice}")
-        if not self.group.contains(m_a):
-            raise ProtocolError("sender message outside the group")
-        if material is not None:
-            material.claim(self.group)
-            self._b = material.b
-            m_b = material.g_b
-        else:
-            self._b = self.group.random_exponent(self._rng)
-            m_b = self.group.power(self._b)
-        self._choice = choice
-        self._m_a = m_a
-        if choice == 1:
-            m_b = self.group.mul(m_a, m_b)
-        return m_b
+        announce: bytes,
+        choices: Sequence[int],
+        materials: Sequence[ReceiverMaterial] = (),
+    ) -> List[bytes]:
+        """Answer the encoded ``S`` with one encoded ``R_i`` per choice.
 
-    def decrypt(self, ciphertexts: OTCiphertexts) -> bytes:
-        """Phase 4: recover the selected secret."""
-        if self._b is None:
-            raise ProtocolError("OTReceiver.decrypt before respond")
-        key = self.group.hash_element(
-            self.group.exp(self._m_a, self._b)
+        ``materials`` supplies warm ``(x, g^x)`` tuples for the first
+        instances; the rest are computed inline.
+        """
+        choices = [int(c) for c in choices]
+        if any(c not in (0, 1) for c in choices):
+            raise ProtocolError(f"OT choices must be 0 or 1, got {choices}")
+        group = self.group
+        s = group.decode_element(announce)
+        exponents, responses = [], []
+        for i, choice in enumerate(choices):
+            if i < len(materials):
+                materials[i].claim(group)
+                x, g_x = materials[i].x, materials[i].g_x
+            else:
+                x = group.random_exponent(self._rng)
+                g_x = group.power(x)
+            exponents.append(x)
+            responses.append(
+                group.encode_element(group.mul(s, g_x) if choice else g_x)
+            )
+        self._s, self._announce = s, announce
+        self._choices, self._exponents = choices, exponents
+        self._responses = responses
+        return list(responses)
+
+    def decrypt(self, ciphertexts: Sequence[OTCiphertexts]) -> List[bytes]:
+        """Recover the selected secret of every instance."""
+        if self._s is None:
+            raise ProtocolError("OTReceiverRound.decrypt before respond")
+        if len(ciphertexts) != len(self._exponents):
+            raise ProtocolError(
+                f"expected {len(self._exponents)} ciphertext pairs, got "
+                f"{len(ciphertexts)}"
+            )
+        group, s = self.group, self._s
+        # All l_s key powers share the base S: one per-round table.
+        power = (
+            group.comb_for(s).power
+            if group.comb_enabled
+            else lambda x: group.exp(s, x)
         )
-        cipher = ciphertexts.e1 if self._choice else ciphertexts.e0
-        context = b"ot1" if self._choice else b"ot0"
-        return xor_cipher(cipher, key, context)
+        out = []
+        for i, (x, choice, response, pair) in enumerate(zip(
+            self._exponents, self._choices, self._responses, ciphertexts
+        )):
+            key = instance_key(group, i, self._announce, response, power(x))
+            if choice:
+                out.append(xor_cipher(pair.e1, key, b"ot1"))
+            else:
+                out.append(xor_cipher(pair.e0, key, b"ot0"))
+        return out
 
 
-# -- pool-aware batched helpers ------------------------------------------------
-
-
-def batch_announce(
-    senders: Sequence[OTSender],
-    pool: Optional[OTMaterialPool] = None,
-) -> list:
-    """Announce all ``senders``, drawing warm tuples from ``pool``.
-
-    The pool hands back at most what it holds; the remainder is
-    computed inline (each shortfall already counted as a pool miss),
-    so exhaustion degrades gracefully instead of erroring.
-    """
-    if not senders:
-        return []
-    materials: Sequence[Optional[SenderMaterial]] = ()
-    if pool is not None:
-        materials = pool.take_senders(senders[0].group, len(senders))
-    return [
-        sender.announce(materials[i] if i < len(materials) else None)
-        for i, sender in enumerate(senders)
-    ]
-
-
-def batch_respond(
-    receivers: Sequence[OTReceiver],
-    elements: Sequence,
-    choices: Sequence[int],
-    pool: Optional[OTMaterialPool] = None,
-) -> list:
-    """Respond to a batch of announces, drawing warm tuples from ``pool``."""
-    if len(receivers) != len(elements) or len(receivers) != len(choices):
-        raise ProtocolError(
-            "batch_respond requires one announce element and one choice "
-            "per receiver"
-        )
-    if not receivers:
-        return []
-    materials: Sequence[Optional[ReceiverMaterial]] = ()
-    if pool is not None:
-        materials = pool.take_receivers(receivers[0].group, len(receivers))
-    return [
-        receiver.respond(
-            element,
-            int(choice),
-            materials[i] if i < len(materials) else None,
-        )
-        for i, (receiver, element, choice) in enumerate(
-            zip(receivers, elements, choices)
-        )
-    ]
-
-
-def run_batch_ot(
+def run_ot_round(
     group: Group,
     secret_pairs: Sequence[Tuple[bytes, bytes]],
     choices: Sequence[int],
@@ -220,27 +236,20 @@ def run_batch_ot(
     receiver_rng=None,
     pool: Optional[OTMaterialPool] = None,
 ) -> List[bytes]:
-    """Run ``len(secret_pairs)`` OT instances end to end (test helper).
+    """Run one round of ``len(secret_pairs)`` OTs end to end.
 
-    The production protocol in :mod:`repro.protocol.agreement` drives the
-    same :class:`OTSender`/:class:`OTReceiver` objects through explicit
-    wire messages; this helper exists for direct unit testing of the
-    primitive and for documentation.  A ``pool`` exercises the same warm
-    material fast path the protocol uses.
+    :mod:`repro.protocol.agreement` drives the same round objects
+    through explicit wire messages; this helper serves unit tests and
+    benchmarks.  A ``pool`` exercises the warm-material fast path.
     """
     if len(secret_pairs) != len(choices):
         raise ProtocolError("one choice bit per secret pair is required")
-    sender_rng = ensure_rng(sender_rng)
-    receiver_rng = ensure_rng(receiver_rng)
-    senders = [OTSender(group, sender_rng) for _ in secret_pairs]
-    receivers = [OTReceiver(group, receiver_rng) for _ in secret_pairs]
-    announces = batch_announce(senders, pool)
-    responses = batch_respond(receivers, announces, choices, pool)
-    outputs: List[bytes] = []
-    for sender, receiver, m_b, (secret0, secret1) in zip(
-        senders, receivers, responses, secret_pairs
-    ):
-        outputs.append(
-            receiver.decrypt(sender.encrypt(m_b, secret0, secret1))
-        )
-    return outputs
+    sender = OTSenderRound(group, sender_rng)
+    receiver = OTReceiverRound(group, receiver_rng)
+    senders = pool.take_senders(group, 1) if pool is not None else ()
+    receivers = (
+        pool.take_receivers(group, len(choices)) if pool is not None else ()
+    )
+    announce = sender.announce(senders[0] if senders else None)
+    responses = receiver.respond(announce, choices, receivers)
+    return receiver.decrypt(sender.encrypt(responses, secret_pairs))

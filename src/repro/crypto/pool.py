@@ -1,33 +1,33 @@
 """Warm OT material: precomputed exponent pairs, refilled off the hot path.
 
-Every WaveKey establishment runs ``l_s`` (~100) Chou-Orlandi OT
-instances in each direction, and each instance begins with a fixed-base
-exponentiation nothing about the peer influences: the sender's
-``M_a = g^a`` and the receiver's ``g^b``.  Both are therefore
-*precomputable* — the "simplest OT" structure the paper relies on makes
-the sender's ``(a, M_a)`` reusable-ahead-of-time as long as each tuple
-is consumed exactly once.
+Every WaveKey establishment runs one Chou-Orlandi OT round of ``l_s``
+instances in each direction (batch form, :mod:`repro.crypto.ot`).  Two
+of its fixed-base exponentiations depend on nothing the peer sends: the
+sender's per-round ``S = g^y`` and the receiver's per-instance
+``g^x``.  Both are therefore *precomputable*, as long as each tuple is
+consumed exactly once.
 
 :class:`OTMaterialPool` keeps bounded per-group stocks of
 
-* :class:`SenderMaterial` — ``(a, M_a, k1_factor)`` where ``k1_factor =
-  M_a^{-a} = g^{-a^2}`` lets the sender derive its second OT key with
-  one modular multiplication instead of a modular inverse plus a full
-  exponentiation (``(M_b / M_a)^a = M_b^a * M_a^{-a}``);
-* :class:`ReceiverMaterial` — ``(b, g^b)``.
+* :class:`SenderMaterial` — ``(y, S, k1_factor)``, one per round, where
+  ``k1_factor = S^{-y} = g^{-y^2}`` lets the sender derive every second
+  OT key with one group multiplication instead of a division plus a
+  full exponentiation (``(R / S)^y = R^y * S^{-y}``);
+* :class:`ReceiverMaterial` — ``(x, g^x)``, one per instance.
 
 A background refill thread tops stocks up to their high watermark
 whenever a take drains them below the low watermark, so the request
-path performs only the per-peer *variable-base* exponentiations.  An
-empty stock is never an error: takes simply return fewer tuples than
-asked and the caller computes the remainder inline (counted as
-``crypto.pool.miss``) — pool exhaustion degrades to exactly the
-pre-pool cost, it never fails a session.
+path performs only the per-peer work: the sender's variable-base
+``R_i^y`` and the receiver's per-round table on ``S``.  An empty stock
+is never an error: takes simply return fewer tuples than asked and the
+caller computes the remainder inline (counted as ``crypto.pool.miss``)
+— pool exhaustion degrades to exactly the pre-pool cost, it never
+fails a session.
 
 Material is single-use by construction: :meth:`~SenderMaterial.claim`
 flips a consumed flag and raises :class:`~repro.errors.CryptoError` on
-any second claim, so one tuple can never key two sessions (reusing an
-OT exponent across sessions would let a peer correlate them).
+any second claim, so one tuple can never key two rounds (reusing a
+sender's ``y`` across rounds would let a peer correlate them).
 
 Observability: ``crypto.pool.hit`` / ``crypto.pool.miss`` /
 ``crypto.pool.produced`` counters and ``crypto.pool.depth`` gauges are
@@ -55,29 +55,30 @@ from repro.utils.rng import ensure_rng
 _REFILL_CHUNK = 16
 
 
-def sender_k1_factor(group: Group, a: int):
-    """``M_a^{-a} = g^{-a^2}`` for a sender exponent ``a``.
+def sender_k1_factor(group: Group, y: int):
+    """``S^{-y} = g^{-y^2}`` for a sender exponent ``y`` (``S = g^y``).
 
     Computed via the *fixed-base* path (the exponent is reduced mod
     :attr:`~repro.crypto.group.Group.exponent_modulus` — ``p - 1`` by
     Fermat for MODP, the subgroup order ``L`` for the curve), so
     deriving it costs one comb exponentiation — cheap at
-    material-creation time, and it converts the sender's second OT key
-    from ``inverse + exp`` into a single group multiplication on the
-    hot path.
+    material-creation time, and it converts each of the sender's
+    second OT keys from ``inverse + exp`` into a single group
+    multiplication on the hot path.
     """
-    return group.power((-a * a) % group.exponent_modulus)
+    return group.power((-y * y) % group.exponent_modulus)
 
 
 class SenderMaterial:
-    """One precomputed, single-use sender tuple ``(a, M_a, k1_factor)``."""
+    """One precomputed, single-use sender tuple ``(y, S, k1_factor)``:
+    it keys one OT round."""
 
-    __slots__ = ("group", "a", "m_a", "k1_factor", "_consumed")
+    __slots__ = ("group", "y", "s", "k1_factor", "_consumed")
 
-    def __init__(self, group: Group, a: int, m_a, k1_factor):
+    def __init__(self, group: Group, y: int, s, k1_factor):
         self.group = group
-        self.a = a
-        self.m_a = m_a
+        self.y = y
+        self.s = s
         self.k1_factor = k1_factor
         self._consumed = False
 
@@ -90,21 +91,22 @@ class SenderMaterial:
             )
         if self._consumed:
             raise CryptoError(
-                "OT sender material reused: each (a, M_a) tuple keys "
-                "exactly one session"
+                "OT sender material reused: each (y, S) tuple keys "
+                "exactly one round"
             )
         self._consumed = True
 
 
 class ReceiverMaterial:
-    """One precomputed, single-use receiver tuple ``(b, g^b)``."""
+    """One precomputed, single-use receiver tuple ``(x, g^x)``: it
+    answers one OT instance."""
 
-    __slots__ = ("group", "b", "g_b", "_consumed")
+    __slots__ = ("group", "x", "g_x", "_consumed")
 
-    def __init__(self, group: Group, b: int, g_b):
+    def __init__(self, group: Group, x: int, g_x):
         self.group = group
-        self.b = b
-        self.g_b = g_b
+        self.x = x
+        self.g_x = g_x
         self._consumed = False
 
     def claim(self, group: Group) -> None:
@@ -116,8 +118,8 @@ class ReceiverMaterial:
             )
         if self._consumed:
             raise CryptoError(
-                "OT receiver material reused: each (b, g^b) tuple keys "
-                "exactly one session"
+                "OT receiver material reused: each (x, g^x) tuple "
+                "answers exactly one instance"
             )
         self._consumed = True
 
@@ -278,14 +280,14 @@ class OTMaterialPool:
     # -- production (off the hot path) -------------------------------------
 
     def _make_sender(self, group: Group, rng) -> SenderMaterial:
-        a = group.random_exponent(rng)
+        y = group.random_exponent(rng)
         return SenderMaterial(
-            group, a, group.power(a), sender_k1_factor(group, a)
+            group, y, group.power(y), sender_k1_factor(group, y)
         )
 
     def _make_receiver(self, group: Group, rng) -> ReceiverMaterial:
-        b = group.random_exponent(rng)
-        return ReceiverMaterial(group, b, group.power(b))
+        x = group.random_exponent(rng)
+        return ReceiverMaterial(group, x, group.power(x))
 
     def fill(self, group: Optional[Group] = None) -> int:
         """Synchronously top every (or one) stock up to ``depth``.

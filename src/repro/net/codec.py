@@ -58,7 +58,9 @@ from repro.protocol.messages import (
 from repro.utils.bits import BitSequence
 
 #: Bump on any incompatible change to frame layout or message payloads.
-PROTOCOL_VERSION = 1
+#: Version 2: ``M_A`` carries the one batch-form OT element ``S`` of the
+#: round, not one element per instance.
+PROTOCOL_VERSION = 2
 
 #: Frame header: u32 body length + u8 frame type.
 _HEADER = struct.Struct("!IB")

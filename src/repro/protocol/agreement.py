@@ -29,13 +29,7 @@ from repro.crypto.segment_sketch import SegmentSecureSketch
 from repro.crypto.hashes import hmac_digest, hmac_verify
 from repro.crypto.group import Group
 from repro.crypto.numbers import WAVEKEY_GROUP_512
-from repro.crypto.ot import (
-    OTCiphertexts,
-    OTReceiver,
-    OTSender,
-    batch_announce,
-    batch_respond,
-)
+from repro.crypto.ot import OTReceiverRound, OTSenderRound
 from repro.crypto.pool import OTMaterialPool
 from repro.errors import (
     ConfigurationError,
@@ -130,8 +124,8 @@ class AgreementParty:
         self.name = name
         self.seed = seed
         self.config = config
-        # Warm OT material: announce/respond draw precomputed
-        # (exponent, power) tuples instead of exponentiating inline;
+        # Warm OT material: announce draws one precomputed sender
+        # tuple per round and respond one receiver tuple per instance;
         # an exhausted (or absent) pool falls back to inline compute.
         self.pool = pool
         # Fig. 4 fixes the segment order as (x_i || y_i) on BOTH sides:
@@ -150,14 +144,12 @@ class AgreementParty:
             )
             for _ in range(self.l_s)
         ]
-        self._senders = [
-            OTSender(config.group, child_rng(self._rng, "send", i))
-            for i in range(self.l_s)
-        ]
-        self._receivers = [
-            OTReceiver(config.group, child_rng(self._rng, "recv", i))
-            for i in range(self.l_s)
-        ]
+        self._sender = OTSenderRound(
+            config.group, child_rng(self._rng, "send")
+        )
+        self._receiver = OTReceiverRound(
+            config.group, child_rng(self._rng, "recv")
+        )
         self._received_segments: Optional[List[BitSequence]] = None
         self.preliminary_key: Optional[BitSequence] = None
         self.final_key: Optional[BitSequence] = None
@@ -166,15 +158,14 @@ class AgreementParty:
     # -- OT sender direction ---------------------------------------------------
 
     def craft_announce(self) -> OTAnnounce:
-        """``M_A``: announce all OT instances this party sends."""
-        group = self.config.group
-        return OTAnnounce(
-            sender=self.name,
-            elements=tuple(
-                group.encode_element(e)
-                for e in batch_announce(self._senders, self.pool)
-            ),
+        """``M_A``: the one element ``S`` keying this party's OT round."""
+        materials = (
+            self.pool.take_senders(self.config.group, 1)
+            if self.pool is not None
+            else ()
         )
+        element = self._sender.announce(materials[0] if materials else None)
+        return OTAnnounce(sender=self.name, elements=(element,))
 
     def craft_ciphertexts(self, response: OTResponse) -> OTCiphertextBatch:
         """``M_E``: encrypt both members of every pair against the
@@ -184,21 +175,12 @@ class AgreementParty:
                 f"{self.name}: expected {self.l_s} OT responses, got "
                 f"{len(response.elements)}"
             )
-        group = self.config.group
-        pairs = []
-        for sender, element, (x0, x1) in zip(
-            self._senders, response.elements, self.sequence_pairs
-        ):
-            # decode_element is the validation chokepoint for peer
-            # bytes: range/on-curve/small-order rejects surface here as
-            # ProtocolError and become failed outcomes, not crashes.
-            pairs.append(
-                sender.encrypt(
-                    group.decode_element(element),
-                    x0.to_bytes(),
-                    x1.to_bytes(),
-                )
-            )
+        # The OT decodes every peer element: range/on-curve/small-order
+        # rejects surface as ProtocolError and become failed outcomes.
+        pairs = self._sender.encrypt(
+            response.elements,
+            [(x0.to_bytes(), x1.to_bytes()) for x0, x1 in self.sequence_pairs],
+        )
         return OTCiphertextBatch(sender=self.name, pairs=tuple(pairs))
 
     # -- OT receiver direction ---------------------------------------------------
@@ -206,22 +188,22 @@ class AgreementParty:
     def craft_response(self, announce: OTAnnounce) -> OTResponse:
         """``M_B``: respond to the peer's announce with this party's
         seed bits as OT choices."""
-        if len(announce.elements) != self.l_s:
+        if len(announce.elements) != 1:
             raise ProtocolError(
-                f"{self.name}: expected {self.l_s} OT announces, got "
+                f"{self.name}: expected 1 element in OT announces, got "
                 f"{len(announce.elements)}"
             )
-        group = self.config.group
-        elements = tuple(
-            group.encode_element(e)
-            for e in batch_respond(
-                self._receivers,
-                [group.decode_element(e) for e in announce.elements],
-                [int(self.seed[i]) for i in range(self.l_s)],
-                self.pool,
-            )
+        materials = (
+            self.pool.take_receivers(self.config.group, self.l_s)
+            if self.pool is not None
+            else ()
         )
-        return OTResponse(sender=self.name, elements=elements)
+        elements = self._receiver.respond(
+            announce.elements[0],
+            [int(self.seed[i]) for i in range(self.l_s)],
+            materials,
+        )
+        return OTResponse(sender=self.name, elements=tuple(elements))
 
     def receive_ciphertexts(self, batch: OTCiphertextBatch) -> None:
         """Decrypt the selected member of every received pair."""
@@ -230,11 +212,10 @@ class AgreementParty:
                 f"{self.name}: expected {self.l_s} ciphertext pairs, got "
                 f"{len(batch.pairs)}"
             )
-        segments = []
-        for receiver, pair in zip(self._receivers, batch.pairs):
-            plain = receiver.decrypt(pair)
-            segments.append(BitSequence.from_bytes(plain, self.l_b))
-        self._received_segments = segments
+        self._received_segments = [
+            BitSequence.from_bytes(plain, self.l_b)
+            for plain in self._receiver.decrypt(batch.pairs)
+        ]
 
     # -- key assembly ---------------------------------------------------------
 
@@ -377,9 +358,10 @@ def run_key_agreement(
     protocol-timeline durations.
 
     ``pool`` supplies both simulated endpoints with warm OT material
-    (sender ``(a, M_a)`` and receiver ``(b, g^b)`` tuples precomputed
-    off the hot path); an exhausted pool falls back to inline
-    exponentiation per instance, never to failure.
+    (one sender ``(y, S)`` tuple per round and one receiver
+    ``(x, g^x)`` tuple per instance, precomputed off the hot path); an
+    exhausted pool falls back to inline exponentiation, never to
+    failure.
     """
     if len(seed_mobile) != len(seed_server):
         raise ConfigurationError("key-seeds must have equal length")

@@ -1,9 +1,9 @@
 """Wire messages of the key-agreement protocol (Fig. 4).
 
-Each dataclass corresponds to one of the combined messages: the paper
-merges the per-instance OT messages of one direction into single wire
-messages ``M_A``, ``M_B``, ``M_E``, followed by the reconciliation
-challenge and the HMAC confirmation.  ``wire_size_bytes`` gives the
+Each dataclass corresponds to one of the combined messages: the OT
+messages of one direction travel as single wire messages ``M_A`` (the
+round's one sender element), ``M_B``, ``M_E``, followed by the
+reconciliation challenge and the HMAC confirmation.  ``wire_size_bytes`` gives the
 serialized size, used by the transport to model transmission delay.
 """
 
@@ -64,7 +64,8 @@ def _coerce_elements(elements: Tuple) -> Tuple[bytes, ...]:
 
 @dataclass(frozen=True)
 class OTAnnounce:
-    """``M_A``: the concatenated encoded ``g^a_i`` of all OT instances."""
+    """``M_A``: the encoded ``S = g^y`` keying the sender's OT round
+    (one element in the batch form; the field stays a tuple)."""
 
     sender: str
     elements: Tuple[bytes, ...]
@@ -80,7 +81,7 @@ class OTAnnounce:
 
 @dataclass(frozen=True)
 class OTResponse:
-    """``M_B``: the concatenated receiver responses ``n_i``."""
+    """``M_B``: the concatenated receiver responses ``R_i``."""
 
     sender: str
     elements: Tuple[bytes, ...]

@@ -278,6 +278,41 @@ class TestCombProperties:
                 EdwardsComb(BASE_POINT, window=window)
 
 
+@lru_cache(maxsize=None)
+def _peer_comb(base: str) -> EdwardsComb:
+    return CURVE25519_GROUP.comb_for(BASES[base])
+
+
+class TestPeerComb:
+    """The per-round table on a peer's announce computes exactly
+    ``n * S``, even when ``S`` carries a small-order component."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        base=st.sampled_from(["subgroup", "mixed-torsion"]),
+        data=st.binary(min_size=32, max_size=32),
+        shift=st.sampled_from([0, 8]),
+    )
+    def test_clamped_exponents_match_scalar_mul(self, base, data, shift):
+        """Shift 8 pushes the exponent past the table, onto the
+        fallback; it too must keep the multiple-of-8 that clears the
+        torsion, so it must not reduce mod L."""
+        comb = _peer_comb(base)
+        k = clamp_scalar(data) << shift
+        assert (k.bit_length() > comb.digits * comb.window) == bool(shift)
+        point = comb.power(k)
+        assert point == scalar_mul(BASES[base], k)
+        assert point == scalar_mul(BASES["subgroup"], k)
+
+    @pytest.mark.parametrize("n", [L, L + 8, 1 << 300, -1, -8, -(1 << 300)])
+    def test_exact_multiple_on_mixed_torsion(self, n):
+        base = BASES["mixed-torsion"]
+        expected = scalar_mul_naive(base, abs(n))
+        if n < 0:
+            expected = expected.negate()
+        assert _peer_comb("mixed-torsion").power(n) == expected
+
+
 class TestX25519LowOrder:
     @settings(max_examples=20, deadline=None)
     @given(scalar=st.binary(min_size=32, max_size=32))

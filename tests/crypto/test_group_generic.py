@@ -1,6 +1,6 @@
 """Group-generic OT stack: both groups behind one interface.
 
-The OT sender/receiver, batch helpers, and warm-material pool are
+The OT round roles, the round helper, and the warm-material pool are
 written against :class:`repro.crypto.group.Group`; these tests run the
 same scenarios over the MODP group and Curve25519 and pin the
 cross-group key-separation property of the hash.
@@ -16,7 +16,7 @@ from repro.crypto import (
     generate_dh_group,
     hash_group_element,
     resolve_group,
-    run_batch_ot,
+    run_ot_round,
 )
 from repro.crypto.group import GROUP_CHOICES, Group
 from repro.crypto.pool import sender_k1_factor
@@ -78,7 +78,7 @@ class TestGenericOT:
     def test_batch_ot_transfers_choices(self, group):
         pairs = [(bytes([i]), bytes([i + 100])) for i in range(6)]
         choices = [1, 0, 1, 1, 0, 0]
-        out = run_batch_ot(group, pairs, choices, 1, 2)
+        out = run_ot_round(group, pairs, choices, 1, 2)
         assert out == [pairs[i][c] for i, c in enumerate(choices)]
 
     def test_pooled_batch_ot(self, group):
@@ -87,20 +87,21 @@ class TestGenericOT:
         pool.fill()
         pairs = [(bytes([i]), bytes([i + 50])) for i in range(4)]
         choices = [0, 1, 0, 1]
-        out = run_batch_ot(group, pairs, choices, 3, 4, pool=pool)
+        out = run_ot_round(group, pairs, choices, 3, 4, pool=pool)
         assert out == [pairs[i][c] for i, c in enumerate(choices)]
         counters = pool.metrics.snapshot()["counters"]
-        key = f'crypto.pool.hit{{group="{group.name}",kind="sender"}}'
-        assert counters[key] == 4
+        key = 'crypto.pool.hit{{group="{}",kind="{}"}}'
+        assert counters[key.format(group.name, "sender")] == 1
+        assert counters[key.format(group.name, "receiver")] == 4
 
     def test_k1_factor_matches_reference(self, group):
-        """g^{-a^2} == M_a^{-a} in either group."""
+        """g^{-y^2} == S^{-y} in either group."""
         rng = np.random.default_rng(21)
         for _ in range(3):
-            a = group.random_exponent(rng)
-            m_a = group.power(a)
-            factor = sender_k1_factor(group, a)
-            assert factor == group.exp(m_a, -a)
+            y = group.random_exponent(rng)
+            s = group.power(y)
+            factor = sender_k1_factor(group, y)
+            assert factor == group.exp(s, -y)
 
     def test_encode_decode_roundtrip(self, group):
         rng = np.random.default_rng(5)

@@ -129,6 +129,24 @@ class TestFixedBaseComb:
         e = g.random_exponent(9)
         assert comb.power(e) == pow(base, e, g.prime)
 
+    @pytest.mark.parametrize("bits", [None, 256])
+    def test_comb_for_sized_to_the_exponent_policy(self, bits):
+        """The per-round table covers the policy's exponents; 256-bit
+        and full-width exponents both match ``pow``, in range or on the
+        fallback."""
+        g = WAVEKEY_GROUP_512.with_exponent_bits(bits)
+        base = g.power(0xC0FFEE)
+        comb = g.comb_for(base)
+        assert comb.digits * comb.window >= (bits or g.bits)
+        for e in (
+            g.random_exponent(10),
+            (1 << 256) - 1,
+            1 << 256,
+            WAVEKEY_GROUP_512.with_exponent_bits(None).random_exponent(11),
+            g.prime - 2,
+        ):
+            assert comb.power(e) == pow(base, e, g.prime)
+
 
 class TestGroupPolicy:
     def test_with_comb_clone_is_value_equal(self):

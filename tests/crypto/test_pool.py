@@ -6,10 +6,10 @@ import pytest
 
 from repro.crypto import (
     OTMaterialPool,
-    OTReceiver,
-    OTSender,
+    OTReceiverRound,
+    OTSenderRound,
     generate_dh_group,
-    run_batch_ot,
+    run_ot_round,
 )
 from repro.crypto.pool import sender_k1_factor
 from repro.errors import ConfigurationError, CryptoError
@@ -86,25 +86,24 @@ class TestStocks:
 
 class TestSingleUse:
     def test_sender_material_reuse_raises(self, group):
-        """Regression: one (a, M_a) tuple must never key two sessions."""
+        """Regression: one (y, S) tuple must never key two rounds."""
         pool = make_pool(depth=2)
         pool.register(group)
         pool.fill()
         (material,) = pool.take_senders(group, 1)
-        OTSender(group, rng=1).announce(material)
+        OTSenderRound(group, rng=1).announce(material)
         with pytest.raises(CryptoError):
-            OTSender(group, rng=2).announce(material)
+            OTSenderRound(group, rng=2).announce(material)
 
     def test_receiver_material_reuse_raises(self, group):
         pool = make_pool(depth=2)
         pool.register(group)
         pool.fill()
         (material,) = pool.take_receivers(group, 1)
-        sender = OTSender(group, rng=1)
-        m_a = sender.announce()
-        OTReceiver(group, rng=2).respond(m_a, 0, material)
+        announce = OTSenderRound(group, rng=1).announce()
+        OTReceiverRound(group, rng=2).respond(announce, [0], [material])
         with pytest.raises(CryptoError):
-            OTReceiver(group, rng=3).respond(m_a, 1, material)
+            OTReceiverRound(group, rng=3).respond(announce, [1], [material])
 
     def test_cross_group_material_rejected(self, group, other_group):
         pool = make_pool(depth=2)
@@ -112,19 +111,19 @@ class TestSingleUse:
         pool.fill()
         (material,) = pool.take_senders(group, 1)
         with pytest.raises(CryptoError):
-            OTSender(other_group, rng=1).announce(material)
+            OTSenderRound(other_group, rng=1).announce(material)
 
 
 class TestCorrectness:
     def test_k1_factor_matches_reference(self, group):
-        """g^{-a^2} really is M_a^{-a}: the one-multiplication second
-        key equals the reference (M_b / M_a)^a."""
+        """g^{-y^2} really is S^{-y}: the one-multiplication second
+        key equals the reference (R / S)^y."""
         p = group.prime
         for seed in range(5):
-            a = group.random_exponent(seed)
-            m_a = group.power(a)
-            factor = sender_k1_factor(group, a)
-            assert factor == pow(pow(m_a, -1, p), a, p)
+            y = group.random_exponent(seed)
+            s = group.power(y)
+            factor = sender_k1_factor(group, y)
+            assert factor == pow(pow(s, -1, p), y, p)
 
     def test_pooled_batch_matches_choices(self, group):
         pool = make_pool(depth=16)
@@ -132,7 +131,7 @@ class TestCorrectness:
         pool.fill()
         pairs = [(bytes([i]), bytes([i + 100])) for i in range(8)]
         choices = [0, 1, 1, 0, 1, 0, 0, 1]
-        out = run_batch_ot(group, pairs, choices, 1, 2, pool=pool)
+        out = run_ot_round(group, pairs, choices, 1, 2, pool=pool)
         assert out == [pairs[i][c] for i, c in enumerate(choices)]
 
     def test_exhausted_pool_still_correct(self, group):
@@ -143,9 +142,17 @@ class TestCorrectness:
         pool.fill()
         pairs = [(bytes([i]), bytes([i + 100])) for i in range(6)]
         choices = [1, 0, 1, 1, 0, 0]
-        out = run_batch_ot(group, pairs, choices, 3, 4, pool=pool)
+        out = run_ot_round(group, pairs, choices, 3, 4, pool=pool)
         assert out == [pairs[i][c] for i, c in enumerate(choices)]
         counters = pool.metrics.snapshot()["counters"]
-        key = 'crypto.pool.miss{{group="random-96",kind="{}"}}'
-        assert counters[key.format("sender")] == 4
-        assert counters[key.format("receiver")] == 4
+        key = 'crypto.pool.{}{{group="random-96",kind="{}"}}'
+        # One sender tuple per round, one receiver tuple per instance.
+        assert counters[key.format("hit", "sender")] == 1
+        assert key.format("miss", "sender") not in counters
+        assert counters[key.format("miss", "receiver")] == 4
+        # A round with an empty sender stock computes S inline.
+        pool.take_senders(group, 1)
+        out = run_ot_round(group, pairs, choices, 5, 6, pool=pool)
+        assert out == [pairs[i][c] for i, c in enumerate(choices)]
+        counters = pool.metrics.snapshot()["counters"]
+        assert counters[key.format("miss", "sender")] == 1

@@ -17,6 +17,7 @@ from repro.net import (
     WaveKeyTCPServer,
 )
 from repro.net.codec import (
+    ErrorFrame,
     Hello,
     ReplDigest,
     ReplPull,
@@ -225,6 +226,23 @@ def test_version_mismatch_rejected(tiny_bundle, first_frame, code):
             finally:
                 conn.close()
     assert error.code == code
+
+
+def test_version_1_hello_rejected(tiny_bundle):
+    """A version-1 client would send one M_A element per OT instance,
+    which the batch-form server no longer accepts: it is turned away at
+    the Hello, before any OT work."""
+    with make_access_server(tiny_bundle) as access:
+        with WaveKeyTCPServer(access, read_timeout_s=5.0) as tcp:
+            host, port = tcp.address
+            conn = connect(host, port, read_timeout_s=5.0)
+            try:
+                conn.send(Hello(sender="mobile", rng_seed=1, version=1))
+                error = conn.recv()
+            finally:
+                conn.close()
+    assert isinstance(error, ErrorFrame)
+    assert error.code == "version"
 
 
 def test_client_identity_cannot_claim_server_name(tiny_bundle):

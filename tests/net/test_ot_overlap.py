@@ -123,7 +123,7 @@ def test_craft_error_consumes_the_client_frame_first():
     seed = matched_seed()
     element = bytes(64)
     channel = ScriptedChannel([
-        # One element short: craft_response rejects the announce.
+        # Not one element: craft_response rejects the announce.
         OTAnnounce(sender="mobile", elements=(element,) * (len(seed) - 1)),
         OTResponse(sender="mobile", elements=(element,) * len(seed)),
     ])

@@ -119,14 +119,15 @@ class TestPooledAgreement:
         from repro.crypto import OTMaterialPool
 
         config = make_config()
-        pool = OTMaterialPool(depth=4, rng=13)
+        pool = OTMaterialPool(depth=1, rng=13)
         pool.register(config.group)
-        pool.fill()  # 4 tuples per kind vs 2 * 36 needed
+        pool.fill()  # 1 tuple per kind vs 2 senders and 2 * 36 receivers
         s_m, s_r = seeds_with_mismatches(36, 0)
         outcome = run_key_agreement(s_m, s_r, config, rng=14, pool=pool)
         assert outcome.success and outcome.keys_match
         counters = pool.metrics.snapshot()["counters"]
         assert counters['crypto.pool.miss{group="random-96",kind="sender"}'] > 0
+        assert counters['crypto.pool.miss{group="random-96",kind="receiver"}'] > 0
 
 
 class TestFailureModes:
@@ -181,9 +182,14 @@ class TestAgreementParty:
         other = AgreementParty(
             "server", BitSequence.random(24, rng), config, rng=3
         )
-        announce = other.craft_announce()  # 24 instances, party expects 36
+        announce = other.craft_announce()
+        response = party.craft_response(announce)  # 36 instances
         with pytest.raises(ProtocolError):
-            party.craft_response(announce)
+            other.craft_ciphertexts(response)  # expects 24
+        # M_A carries exactly one element per round.
+        doubled = type(announce)(announce.sender, announce.elements * 2)
+        with pytest.raises(ProtocolError):
+            party.craft_response(doubled)
 
     def test_preliminary_keys_match_where_seeds_agree(self):
         config = make_config()
