@@ -73,7 +73,7 @@ from repro.net.codec import (
     encode_message,
     frame_to_bytes,
 )
-from repro.net.connection import SEND_CLOSED, OutboundBuffer
+from repro.net.connection import OutboundBuffer
 from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
 from repro.obs.collect import TELEMETRY_SCHEMA
 from repro.obs.events import EventLog
@@ -883,13 +883,12 @@ class WaveKeyGateway:
             lambda s=session: self._session_expired(s, "splice"),
         )
         # The held HELLO opens the backend conversation, then any
-        # frames the client pipelined behind it follow in order.
-        session.to_backend.append(session.hello_bytes, force=True)
+        # frames the client pipelined behind it follow in order;
+        # _drain_c2s moves the backend socket onto the splice callback.
+        self._send_to_backend(session, session.hello_bytes)
         session.hello_bytes = b""
-        self.loop.modify(
-            sock, EVENT_READ | EVENT_WRITE,
-            lambda m, s=session: self._on_backend_ready(s, m),
-        )
+        if session.closed:
+            return
         self._drain_c2s(session)
         self._update_client_interest(session)
 
@@ -938,7 +937,8 @@ class WaveKeyGateway:
         self._drain_s2c(session)
 
     def _drain_c2s(self, session: _GatewaySession) -> None:
-        while not session.closed:
+        relayed = []
+        while True:
             try:
                 frame = session.c2s_assembler.next_frame()
             except TransportError:
@@ -949,20 +949,19 @@ class WaveKeyGateway:
             self.metrics.counter(
                 "cluster.frames.relayed", labels={"direction": "c2s"}
             ).inc()
-            if session.to_backend.append(
-                frame_to_bytes(frame), force=True
-            ) == SEND_CLOSED:
+            relayed.append(frame_to_bytes(frame))
+        if relayed:
+            self._send_to_backend(session, b"".join(relayed))
+            if session.closed:
                 return
-        if session.closed:
-            return
-        self._update_backend_interest(session)
-        if session.client_eof and not session.closing:
+        if session.client_eof:
             session.closing = True
-            self._update_backend_interest(session)
+        self._update_backend_interest(session)
         self._maybe_finish_close(session)
 
     def _drain_s2c(self, session: _GatewaySession) -> None:
-        while not session.closed:
+        relayed = []
+        while True:
             try:
                 frame = session.s2c_assembler.next_frame()
             except TransportError:
@@ -974,18 +973,16 @@ class WaveKeyGateway:
             self.metrics.counter(
                 "cluster.frames.relayed", labels={"direction": "s2c"}
             ).inc()
-            if session.to_client.append(
-                frame_to_bytes(frame), force=True
-            ) == SEND_CLOSED:
+            relayed.append(frame_to_bytes(frame))
+        if relayed:
+            self._send_to_client(session, b"".join(relayed))
+            if session.closed:
                 return
-        if session.closed:
-            return
-        self._update_client_interest(session)
-        if session.backend_eof and not session.closing:
+        if session.backend_eof:
             # One session per connection: the backend said everything
             # it will say; flush what is buffered and close both ways.
             session.closing = True
-            self._update_client_interest(session)
+        self._update_client_interest(session)
         self._update_backend_interest(session)
         self._maybe_finish_close(session)
 
@@ -1092,11 +1089,26 @@ class WaveKeyGateway:
         else:
             self.loop.unregister(session.backend_sock)
 
-    # -- refusal + teardown (loop thread) ----------------------------------
+    # -- write-through (loop thread) ---------------------------------------
+    #
+    # Each relayed batch goes to the socket in the tick that decoded it;
+    # only a remainder the kernel would not take leaves EVENT_WRITE
+    # armed by the next _update_*_interest.  Both return with the
+    # session closed when the write failed.
 
     def _send_to_client(self, session: _GatewaySession, data: bytes) -> None:
-        session.to_client.append(data, force=True)
-        self._update_client_interest(session)
+        try:
+            session.to_client.write(session.client_sock, data, force=True)
+        except OSError:
+            self._close_session(session)
+
+    def _send_to_backend(self, session: _GatewaySession, data: bytes) -> None:
+        try:
+            session.to_backend.write(session.backend_sock, data, force=True)
+        except OSError:
+            self._splice_broken(session, "backend write")
+
+    # -- refusal + teardown (loop thread) ----------------------------------
 
     def _refuse(
         self, session: _GatewaySession, code: str, detail: str

@@ -12,8 +12,10 @@ When given a :class:`MetricsRegistry`, the connection emits frame/byte
 counters and encode/decode latency histograms labeled
 ``{"endpoint": "client"}``; the server's event loop emits the same
 series under ``"server"`` — the wire-level half of the observability
-story.  :class:`OutboundBuffer` is the server's non-blocking write
-side.
+story.  :class:`OutboundBuffer` is the non-blocking write side of the
+event-loop front ends: a producer writes each frame through it on its
+own thread, and only a remainder the kernel would not take waits for
+the loop's writability event.
 """
 
 from __future__ import annotations
@@ -196,8 +198,9 @@ class FrameConnection:
         return message
 
 
-#: OutboundBuffer.append verdicts.
+#: OutboundBuffer.append / write verdicts.
 SEND_OK = "ok"
+SEND_PENDING = "pending"
 SEND_OVERFLOW = "overflow"
 SEND_CLOSED = "closed"
 
@@ -205,16 +208,26 @@ SEND_CLOSED = "closed"
 class OutboundBuffer:
     """A bounded, thread-safe, non-blocking send queue for one socket.
 
-    Producers (protocol workers, the event loop itself) ``append``
-    encoded frames; the event loop ``flush``\\ es to the non-blocking
-    socket whenever it reports writable, handling partial writes with a
-    ``memoryview`` offset instead of re-slicing the buffer.
+    Producers (protocol workers, the event loop itself) ``write`` each
+    encoded frame through the buffer: under the buffer's lock the frame
+    is appended and as much as the kernel accepts goes to the
+    non-blocking socket at once, on the producer's thread.  Only a
+    remainder stays queued (:data:`SEND_PENDING`); the owner then arms
+    writability and the event loop ``flush``\\ es it, handling partial
+    writes with a ``memoryview`` offset instead of re-slicing the
+    buffer.  One lock orders every write, so bytes leave in append
+    order whichever thread produced them.
 
     The bound is the backpressure contract: a peer that stops reading
     accumulates at most ``max_pending_bytes`` server-side, after which
-    ``append`` reports :data:`SEND_OVERFLOW` and the connection owner
+    ``write`` reports :data:`SEND_OVERFLOW` and the connection owner
     sheds the client with a wire error frame (``force=True`` bypasses
     the bound for exactly that terminal error frame).
+
+    ``close`` discards whatever is queued and refuses further appends,
+    so a closed buffer never touches its socket again: an owner that
+    closes the buffer before the socket guarantees that no producer
+    writes to a closed (or recycled) file descriptor.
     """
 
     def __init__(self, max_pending_bytes: int = 1 << 20):
@@ -236,34 +249,62 @@ class OutboundBuffer:
             return self._closed
 
     def append(self, data: bytes, force: bool = False) -> str:
-        """Queue ``data``; returns one of the ``SEND_*`` verdicts."""
+        """Queue ``data`` without writing; returns one of the
+        ``SEND_*`` verdicts (:data:`SEND_OK` when queued)."""
         with self._lock:
-            if self._closed:
-                return SEND_CLOSED
-            pending = len(self._buf) - self._offset
-            if not force and pending + len(data) > self.max_pending_bytes:
-                return SEND_OVERFLOW
-            self._buf += data
-            return SEND_OK
+            return self._append_locked(data, force)
+
+    def write(
+        self, sock: socket.socket, data: bytes, force: bool = False
+    ) -> str:
+        """Append ``data`` and write the queue to ``sock`` now.
+
+        Returns :data:`SEND_OK` when the kernel took everything,
+        :data:`SEND_PENDING` when a remainder is left for :meth:`flush`,
+        or :data:`SEND_OVERFLOW` / :data:`SEND_CLOSED` with nothing
+        queued or written.  Socket errors other than would-block
+        propagate as :class:`OSError`.
+        """
+        with self._lock:
+            verdict = self._append_locked(data, force)
+            if verdict != SEND_OK:
+                return verdict
+            return SEND_OK if self._drain_locked(sock) else SEND_PENDING
 
     def flush(self, sock: socket.socket) -> bool:
-        """Write as much as the kernel accepts; True when drained."""
+        """Write as much as the kernel accepts; True when drained.  A
+        closed buffer holds nothing and writes nothing."""
         with self._lock:
-            while self._offset < len(self._buf):
-                view = memoryview(self._buf)[self._offset:]
-                try:
-                    sent = sock.send(view)
-                except (BlockingIOError, InterruptedError):
-                    return False
-                finally:
-                    view.release()
-                self._offset += sent
-            # Fully drained: recycle the buffer in place.
-            del self._buf[:]
-            self._offset = 0
-            return True
+            return self._drain_locked(sock)
 
     def close(self) -> None:
-        """Refuse further appends (the connection is going away)."""
+        """Drop what is queued and refuse further appends (the
+        connection is going away)."""
         with self._lock:
             self._closed = True
+            del self._buf[:]
+            self._offset = 0
+
+    def _append_locked(self, data: bytes, force: bool) -> str:
+        if self._closed:
+            return SEND_CLOSED
+        pending = len(self._buf) - self._offset
+        if not force and pending + len(data) > self.max_pending_bytes:
+            return SEND_OVERFLOW
+        self._buf += data
+        return SEND_OK
+
+    def _drain_locked(self, sock: socket.socket) -> bool:
+        while self._offset < len(self._buf):
+            view = memoryview(self._buf)[self._offset:]
+            try:
+                sent = sock.send(view)
+            except (BlockingIOError, InterruptedError):
+                return False
+            finally:
+                view.release()
+            self._offset += sent
+        # Fully drained: recycle the buffer in place.
+        del self._buf[:]
+        self._offset = 0
+        return True

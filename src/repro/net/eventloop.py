@@ -19,14 +19,17 @@ Threading contract:
 * :meth:`call_soon` is the **thread-safe** entry: it enqueues a
   callback and wakes the loop via the self-pipe;
 * callbacks must never block: protocol compute stays on the access
-  server's worker pool, socket writes go through bounded outbound
-  buffers flushed on writability.
+  server's worker pool, and socket writes go through bounded outbound
+  buffers that write each frame to the non-blocking socket on the
+  producing thread; a remainder the kernel would not take is flushed
+  on writability.  A worker's frame therefore never waits for a loop
+  tick; only its verdict callbacks and partial-write handoffs do.
 
 When given a :class:`MetricsRegistry` the loop emits its own health
 series: ``net.loop.wakeup_latency_s`` (self-pipe wake -> drain, the
-cross-thread handoff cost), ``net.loop.dispatch_lag_s`` (readiness
-report -> handler entry within one tick), ``net.loop.ticks`` and
-``net.loop.callback_errors``.
+cross-thread handoff cost of ``call_soon``), ``net.loop.dispatch_lag_s``
+(readiness report -> handler entry within one tick), ``net.loop.ticks``
+and ``net.loop.callback_errors``.
 """
 
 from __future__ import annotations

@@ -20,15 +20,18 @@ The data path:
 * **compute offload** — decoded protocol messages are queued to the
   session's worker channel; the access server's worker runs the
   :class:`_NetAgreement` exchange, blocking on the in-memory channel
-  instead of the socket, and its sends append encoded bytes to the
-  connection's bounded :class:`OutboundBuffer` and wake the loop
-  through the self-pipe;
-* **writes** — the loop flushes outbound buffers on writability;
-  partial writes keep their ``memoryview`` offset.  A peer that stops
-  reading hits the buffer bound and is shed with an ``overloaded``
-  error frame (``net.server.backpressure_shed``);
+  instead of the socket, and its sends write each encoded frame
+  straight through the connection's bounded :class:`OutboundBuffer`
+  to the socket on the worker thread, so no frame waits for the loop
+  to win the GIL back from the worker crafting the next message;
+* **writes** — every producer (worker or loop) writes through the
+  outbound buffer; ``EVENT_WRITE`` is armed only for a remainder the
+  kernel would not take, which the loop flushes on writability with
+  its ``memoryview`` offset.  A peer that stops reading hits the
+  buffer bound and is shed with an ``overloaded`` error frame
+  (``net.server.backpressure_shed``);
 * **verdicts** — session completion fires a ticket done-callback that
-  hops onto the loop and flushes the terminal verdict, so no thread
+  hops onto the loop and writes the terminal verdict, so no thread
   ever parks in ``ticket.result``;
 * **deadlines** — loop timers enforce the hello deadline
   (``net.server.handshake_timeouts``) and the verdict budget; mid-round
@@ -106,7 +109,12 @@ from repro.net.codec import (
     encode_message,
     frame_to_bytes,
 )
-from repro.net.connection import SEND_CLOSED, SEND_OVERFLOW, OutboundBuffer
+from repro.net.connection import (
+    SEND_CLOSED,
+    SEND_OVERFLOW,
+    SEND_PENDING,
+    OutboundBuffer,
+)
 from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
 from repro.obs.metrics import byte_buckets
 from repro.obs.tracing import parent_from_context, resolve_tracer
@@ -329,9 +337,11 @@ _CLOSING = "closing"
 class _WorkerChannel:
     """The protocol worker's :class:`FrameConnection`-shaped view of one
     event-loop connection: ``recv`` blocks on the inbox the loop fills,
-    ``send`` appends encoded bytes to the outbound buffer and wakes the
-    loop.  All failures surface as typed transport errors, which
-    :class:`_NetAgreement` maps onto failed rounds."""
+    ``send`` writes the encoded frame through the outbound buffer to the
+    socket on the worker's own thread and wakes the loop only when a
+    remainder needs ``EVENT_WRITE``.  All failures surface as typed
+    transport errors, which :class:`_NetAgreement` maps onto failed
+    rounds."""
 
     def __init__(self, conn: "_ClientConn"):
         self._conn = conn
@@ -395,7 +405,12 @@ class _ClientConn:
         start = time.perf_counter()
         data = frame_to_bytes(encode_message(message))
         encode_s = time.perf_counter() - start
-        verdict = self.outbound.append(data)
+        try:
+            verdict = self.outbound.write(self.sock, data)
+        except OSError as exc:
+            error = ConnectionClosed(f"send failed: {exc}")
+            server.loop.call_soon(server._transport_error, self, error)
+            raise error from exc
         if verdict == SEND_CLOSED:
             raise ConnectionClosed("send failed: connection closed")
         if verdict == SEND_OVERFLOW:
@@ -406,7 +421,8 @@ class _ClientConn:
                 " bytes pending, peer not reading)"
             )
         server._note_frame_sent(len(data), encode_s, self.outbound.pending)
-        server.loop.call_soon(server._ensure_writable, self)
+        if verdict == SEND_PENDING:
+            server.loop.call_soon(server._ensure_writable, self)
 
 
 class WaveKeyTCPServer:
@@ -714,6 +730,8 @@ class WaveKeyTCPServer:
         self._transport_error(conn, exc)
 
     def _transport_error(self, conn: _ClientConn, exc: TransportError) -> None:
+        if conn.closed:
+            return  # a worker's failed write raced the loop's own close
         self.metrics.counter("net.server.transport_errors").inc()
         self.events.emit(
             "net_transport_error", peer=conn.peername, error=str(exc)
@@ -1101,20 +1119,28 @@ class WaveKeyTCPServer:
     # -- write path (loop thread) ------------------------------------------
 
     def _enqueue(self, conn: _ClientConn, message, force: bool = False) -> None:
-        """Loop-side send: encode, append, and arm EVENT_WRITE."""
+        """Loop-side send: encode and write through; EVENT_WRITE is
+        armed only for a remainder."""
         if conn.closed:
             return
         start = time.perf_counter()
         data = frame_to_bytes(encode_message(message))
         encode_s = time.perf_counter() - start
-        verdict = conn.outbound.append(data, force=force)
+        try:
+            verdict = conn.outbound.write(conn.sock, data, force=force)
+        except OSError as exc:
+            self._transport_error(
+                conn, ConnectionClosed(f"send failed: {exc}")
+            )
+            return
         if verdict == SEND_CLOSED:
             return
         if verdict == SEND_OVERFLOW:
             self._shed_backpressure(conn)
             return
         self._note_frame_sent(len(data), encode_s, conn.outbound.pending)
-        self._ensure_writable(conn)
+        if verdict == SEND_PENDING:
+            self._ensure_writable(conn)
 
     def _shed_backpressure(self, conn: _ClientConn) -> None:
         """The bounded outbound buffer is full: the peer stopped

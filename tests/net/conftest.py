@@ -5,6 +5,8 @@ deterministic acquisition, and batcher overrides that pin the encoded
 seeds — so agreement success/failure over the wire is controlled
 exactly, never Monte-Carlo."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,13 @@ def mismatched_seeds(bits=32, flips=20, rng_seed=7):
     for i in range(flips):
         flipped[i] ^= 1
     return base, BitSequence(flipped)
+
+
+def wait_for(predicate, timeout_s=5.0, detail="condition"):
+    """Poll ``predicate`` until it holds; fail after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"{detail} not met within {timeout_s}s")

@@ -51,6 +51,9 @@ def test_curve_establishment_over_loopback(curve_server):
 
 def test_curve_sessions_negotiate_the_group(curve_server):
     access, tcp = curve_server
+    # Stock the curve material first: the background refill may not
+    # have produced any by the time a session takes its tuples.
+    access.ot_pool.fill(CURVE25519_GROUP)
     result = WaveKeyNetClient(*tcp.address, CURVE_CFG).establish(rng_seed=32)
     assert result.success
     # The pool served curve material, not MODP material.

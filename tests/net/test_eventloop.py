@@ -31,20 +31,16 @@ from repro.net.connection import (
 from repro.net.eventloop import EVENT_READ, EventLoop
 from repro.obs import MetricsRegistry
 
-from tests.net.conftest import make_access_server, matched_seed, pin_seeds
+from tests.net.conftest import (
+    make_access_server,
+    matched_seed,
+    pin_seeds,
+    wait_for,
+)
 
 CLIENT_CFG = NetClientConfig(
     read_timeout_s=5.0, max_retries=1, backoff_initial_s=0.01
 )
-
-
-def _wait_for(predicate, timeout_s=5.0, detail="condition"):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.01)
-    raise AssertionError(f"{detail} not met within {timeout_s}s")
 
 
 # -- EventLoop core ----------------------------------------------------------
@@ -77,7 +73,7 @@ def test_call_later_fires_and_cancel_suppresses():
             handles.append(loop.call_later(0.3, cancelled_fired.set))
 
         loop.call_soon(arm)
-        _wait_for(lambda: handles, detail="timers armed")
+        wait_for(lambda: handles, detail="timers armed")
         handles[0].cancel()
         assert fired.wait(2.0)
         time.sleep(0.5)
@@ -209,7 +205,7 @@ def test_conn_gauge_and_loop_series_over_loopback(tiny_bundle):
                 )
 
             idle = connect(host, port, read_timeout_s=5.0)
-            _wait_for(
+            wait_for(
                 lambda: open_conns() == 1, detail="gauge sees idle conn"
             )
 
@@ -219,7 +215,7 @@ def test_conn_gauge_and_loop_series_over_loopback(tiny_bundle):
             assert result.success
 
             idle.close()
-            _wait_for(
+            wait_for(
                 lambda: open_conns() == 0, detail="gauge drains on close"
             )
 
@@ -268,7 +264,7 @@ def test_server_thread_count_is_flat_across_idle_connections(tiny_bundle):
                 socket.create_connection((host, port)) for _ in range(32)
             ]
             try:
-                _wait_for(
+                wait_for(
                     lambda: access.metrics.snapshot().get(
                         "gauges", {}
                     ).get("net.conn.open", 0) == 32,

@@ -71,14 +71,20 @@ def test_tap_sees_full_transcript_without_perturbing(wired):
 def test_dropped_announce_recovers_via_retry(wired):
     """Dropping the client's M_A stalls the round until the server's
     read deadline; the server's retry policy grants a fresh round and
-    the establishment still succeeds."""
+    the establishment still succeeds.
+
+    The client waits strictly longer than the server's 2 s, so the
+    server's failed round reaches it before its own read timeout would
+    abandon the connection and retry from scratch."""
     _, tcp = wired
     with FaultInjectionProxy(
         tcp.address,
         interceptor=drop_frames(types=[FrameType.OT_ANNOUNCE], count=1),
     ) as proxy:
         result = WaveKeyNetClient(
-            *proxy.address, FAST_CFG
+            *proxy.address, NetClientConfig(
+                read_timeout_s=4.0, max_retries=2, backoff_initial_s=0.01,
+            ),
         ).establish(rng_seed=22)
 
     assert result.success
@@ -142,7 +148,12 @@ def test_delayed_announce_breaches_tau_deadline(wired):
 
 def test_reordered_frames_rejected_by_strict_exchange(wired):
     """The exchange is strictly alternating; a swapped frame pair is a
-    protocol violation, not silently tolerated."""
+    protocol violation, not silently tolerated.
+
+    The held M_A stalls both sides until a read deadline fires.  The
+    client waits strictly longer than the server's 2 s, so the
+    server's failed-round verdict is what the client observes rather
+    than a race between the two timeouts."""
     _, tcp = wired
     with FaultInjectionProxy(
         tcp.address,
@@ -152,7 +163,7 @@ def test_reordered_frames_rejected_by_strict_exchange(wired):
     ) as proxy:
         result = WaveKeyNetClient(
             *proxy.address, NetClientConfig(
-                read_timeout_s=2.0, max_retries=0,
+                read_timeout_s=4.0, max_retries=0,
             ),
         ).establish(rng_seed=26)
 
