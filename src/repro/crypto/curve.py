@@ -12,8 +12,9 @@ literature assumes curve groups on constrained devices.
 Two coordinate systems, cross-checked against each other:
 
 * the **X25519 Montgomery ladder** of RFC 7748 (x-coordinate only,
-  constant shape) — used for the RFC test vectors and as an
-  independent reference for scalar multiplication;
+  constant shape) — the from-scratch :func:`x25519` is pinned to the
+  RFC test vectors and is the reference OpenSSL's ladder is checked
+  against;
 * the **twisted-Edwards form** ``-x^2 + y^2 = 1 + d x^2 y^2``
   (birationally equivalent, RFC 8032 point arithmetic in extended
   homogeneous coordinates) — used by the OT, because Chou-Orlandi
@@ -32,16 +33,21 @@ inputs.  Wire elements are the canonical 32-byte RFC 8032 encoding
 encodings and :meth:`Curve25519Group.decode_element` additionally
 rejects the eight small-order points.
 
-The OT hot path is pure-Python big-int arithmetic, so its costs are
-counted in field multiplications and inversions: inversions use
-CPython's C-level ``pow(z, -1, p)`` (decoding folds its division into
-the square root), variable-base :func:`scalar_mul` uses signed radix-16
-digits over cached points, and the fixed-base :class:`EdwardsComb`
-stores affine rows for 7-multiplication mixed additions — on the base
-point for the group, and per OT round on the peer's announce for the
-receiver's keys (:meth:`Curve25519Group.comb_for`).  Every fast
-path is cross-checked against :func:`scalar_mul_naive`, and the wire
-bytes are pinned by ``tests/crypto/test_ot_transcript.py``.
+Only the x-only ladder runs outside this module: the OT's
+variable-base products (:meth:`Curve25519Group.exp_many`, through
+:func:`ladder_products`) run on OpenSSL's X25519 via ``cryptography``,
+imported on first use, and each exact Edwards point is recovered from
+a second ladder run on ``B + G`` and the caller's known ``n * G``.  The
+group law, decoding and validation, the fixed-base comb and the pool
+stay pure-Python big-int arithmetic, so their costs are counted in
+field multiplications and inversions: inversions use CPython's C-level
+``pow(z, -1, p)`` or one batched inversion (decoding folds its division
+into the square root), :func:`scalar_mul` uses signed radix-16 digits
+over cached points, and the fixed-base :class:`EdwardsComb` on the base
+point stores affine rows for 7-multiplication mixed additions.  Every
+fast path is cross-checked against :func:`scalar_mul_naive` or
+:func:`scalar_mul`, and the wire bytes are pinned by
+``tests/crypto/test_ot_transcript.py``.
 """
 
 from __future__ import annotations
@@ -390,27 +396,119 @@ def scalar_mul_naive(point: EdwardsPoint, n: int) -> EdwardsPoint:
 #: window 8 powers no faster but takes ~130 ms to build.
 COMB_WINDOW = 6
 
-#: Comb window of the per-round table on a peer's OT announce, which
-#: serves one round's 36 receiver keys and is then dropped.  Measured
-#: build + 36 powers (EXPERIMENTS.md "Batch-form OT"): window 2 21.2 ms,
-#: 3 19.7 ms, 4 21.8 ms, 5 27.7 ms, against 48.0 ms for 36 scalar_mul.
-ELEMENT_COMB_WINDOW = 3
-
 
 def _batch_invert(values: List[int]) -> List[int]:
-    """Inverses of every (non-zero) value with one field inversion
-    (Montgomery's trick: 3 multiplications per value)."""
+    """Inverses of every value with one field inversion (Montgomery's
+    trick: 3 multiplications per value).  Values must be reduced mod
+    ``p``; a zero maps to zero, as ``0^(p-2)`` would."""
     prefix = []
     acc = 1
     for v in values:
-        acc = acc * v % P
         prefix.append(acc)
+        if v:
+            acc = acc * v % P
     inv = pow(acc, -1, P)
     out = [0] * len(values)
-    for i in range(len(values) - 1, 0, -1):
-        out[i] = inv * prefix[i - 1] % P
-        inv = inv * values[i] % P
-    out[0] = inv
+    for i in range(len(values) - 1, -1, -1):
+        v = values[i]
+        if v:
+            out[i] = inv * prefix[i] % P
+            inv = inv * v % P
+    return out
+
+
+# -- variable-base products on OpenSSL's X25519 ladder ------------------------
+
+
+def _montgomery_us(points: List[EdwardsPoint]) -> List[Optional[bytes]]:
+    """Encoded ``u = (Z+Y)/(Z-Y)`` of every point with one inversion;
+    ``None`` for the identity, which has no u-coordinate."""
+    inverses = _batch_invert([(q.z - q.y) % P for q in points])
+    return [
+        ((q.z + q.y) * inv % P).to_bytes(32, "little") if inv else None
+        for q, inv in zip(points, inverses)
+    ]
+
+
+def ladder_products(
+    bases: List[EdwardsPoint], scalars: List[int], powers: List[EdwardsPoint]
+) -> List[EdwardsPoint]:
+    """``scalar_mul(base, n)`` for a batch, with the x-only work on
+    OpenSSL's X25519 ladder; the result is the exact Edwards point.
+
+    One of ``bases`` and ``scalars`` has length 1 and pairs with every
+    entry of the other; ``powers[j]`` is ``scalars[j] * G``.  For each
+    product ``n * B`` the ladder runs on ``u(B)`` and on the companion
+    ``u(B + G)``, whose product is ``n*B + n*G``.  Both ``u`` give a
+    ``y``, and with ``y1 = y(n*B)``, ``y3 = y(n*B + Q)`` for the known
+    ``Q = n*G = (xq, yq)`` the a=-1 addition law is linear in ``x``:
+
+        x(n*B) = (y3 - y1 yq) / (xq (1 + d y1 y3 yq)),
+
+    so no square root is taken and every inversion is batched.  The
+    ladder clamps its scalar, so only scalars already in clamped form
+    use it; their multiple-of-8 clears any torsion component of ``B``,
+    as in :func:`scalar_mul`.  An instance the ladder cannot serve — an
+    unclamped scalar, an identity companion, a ladder output of zero
+    (a small-order companion such as ``B = T - G``), a zero
+    denominator, or a result off the curve (a wrong ``powers`` entry)
+    — falls back to :func:`scalar_mul`.
+    """
+    # Imported here, so processes that never multiply on the curve
+    # (MODP, resume-only) never load OpenSSL.
+    from cryptography.hazmat.primitives.asymmetric.x25519 import (
+        X25519PrivateKey,
+        X25519PublicKey,
+    )
+
+    nb = len(bases)
+    # (base index, scalar index) of every product.
+    pairs = [
+        (0 if nb == 1 else i, 0 if len(scalars) == 1 else i)
+        for i in range(max(nb, len(scalars)))
+    ]
+    # u(B) and u(B + G) for every distinct base, and the affine n*G.
+    us = _montgomery_us(bases + [b.add(BASE_POINT) for b in bases])
+    public_keys = [
+        X25519PublicKey.from_public_bytes(u) if u is not None else None
+        for u in us
+    ]
+    z_inverses = _batch_invert([q.z % P for q in powers])
+    keys = [
+        X25519PrivateKey.from_private_bytes(n.to_bytes(32, "little"))
+        if n >> 254 == 1 and not n & 7 else None
+        for n in scalars
+    ]
+    recovered = []
+    for b, j in pairs:
+        key, pub, pub_companion = keys[j], public_keys[b], public_keys[nb + b]
+        if key is None or pub is None or pub_companion is None:
+            recovered.append(None)
+            continue
+        try:
+            u1 = int.from_bytes(key.exchange(pub), "little")
+            u3 = int.from_bytes(key.exchange(pub_companion), "little")
+        except ValueError:
+            recovered.append(None)
+            continue
+        q, inv_zq = powers[j], z_inverses[j]
+        xq, yq = q.x * inv_zq % P, q.y * inv_zq % P
+        # y1 = a1/b1 and y3 = a3/b3 from y = (u - 1)/(u + 1); then
+        # x = num/den with both fractions cleared, and Z = den * b1.
+        a1, b1, a3, b3 = u1 - 1, u1 + 1, u3 - 1, u3 + 1
+        num = (a3 * b1 - a1 * b3 % P * yq) % P
+        den = xq * ((b1 * b3 + D * a1 % P * a3 % P * yq) % P) % P
+        recovered.append((num * b1 % P, a1 * den % P, den * b1 % P))
+    inverses = _batch_invert([r[2] if r else 0 for r in recovered])
+    out = []
+    for (b, j), r, inv in zip(pairs, recovered, inverses):
+        if inv:
+            x, y = r[0] * inv % P, r[1] * inv % P
+            xx, yy = x * x % P, y * y % P
+            if (yy - xx - 1 - D * xx % P * yy) % P == 0:
+                out.append(EdwardsPoint(x, y, 1, x * y % P))
+                continue
+        out.append(scalar_mul(bases[b], scalars[j]))
     return out
 
 
@@ -469,9 +567,9 @@ class EdwardsComb:
         """Exactly ``exponent * base``.
 
         Exponents outside the table range fall back to
-        :func:`scalar_mul` *without* reducing mod ``L``: the base may
-        be a peer's point with a small-order component, which only the
-        unreduced (clamped, multiple-of-8) scalar clears.
+        :func:`scalar_mul` *without* reducing mod ``L``, so the result
+        stays exact for a base with a small-order component, which only
+        the unreduced (clamped, multiple-of-8) scalar clears.
         """
         if exponent < 0:
             return scalar_mul(self.base, -exponent).negate()
@@ -563,11 +661,11 @@ class Curve25519Group(Group):
     def power_naive(self, exponent: int) -> EdwardsPoint:
         return scalar_mul_naive(BASE_POINT, exponent % L)
 
-    def comb_for(self, element: EdwardsPoint) -> EdwardsComb:
-        return EdwardsComb(element, window=ELEMENT_COMB_WINDOW)
-
     def exp(self, element: EdwardsPoint, exponent: int) -> EdwardsPoint:
         return scalar_mul(element, exponent)
+
+    def _exp_many(self, bases, exponents, powers):
+        return ladder_products(bases, exponents, powers)
 
     def mul(self, a: EdwardsPoint, b: EdwardsPoint) -> EdwardsPoint:
         return a.add(b)

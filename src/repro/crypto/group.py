@@ -3,9 +3,11 @@
 The Chou-Orlandi OT (batch form of paper Fig. 3) only needs a cyclic
 group with a fixed generator: the round's announce is ``S = g^y``, the
 receiver's masked reply is ``g^x`` or ``S * g^x``, the sender's keys are
-one variable-base exponentiation (plus one division — or one
+one variable-base exponentiation each (plus one division — or one
 multiplication by the precomputed ``S^{-y}``), and the receiver's keys
-are powers of the one base ``S`` (:meth:`Group.comb_for`).
+are powers of the one base ``S``.  Both roles compute their
+variable-base products in one call, :meth:`Group.exp_many`, which also
+receives the generator powers the caller already holds.
 :class:`Group` captures exactly that contract so the same
 :class:`~repro.crypto.ot` machinery runs over the multiplicative MODP
 groups of :mod:`repro.crypto.numbers` *and* the Curve25519 group of
@@ -24,9 +26,10 @@ there and in :meth:`Group.contains`).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import List, Sequence
 
 from repro.crypto.hashes import hash_group_element
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, CryptoError
 
 
 class Group(ABC):
@@ -70,21 +73,43 @@ class Group(ABC):
     def power_naive(self, exponent: int):
         """``g^exponent`` via the reference (table-free) arithmetic."""
 
-    @abstractmethod
-    def comb_for(self, element):
-        """An uncached fixed-base table on ``element``.
-
-        Its ``power(n)`` equals :meth:`exp` ``(element, n)`` for every
-        ``n >= 0``.  The table pays off when one base meets many
-        exponents, as the peer's ``S`` does with one OT round's
-        receiver keys.
-        """
-
     # -- element arithmetic ------------------------------------------------
 
     @abstractmethod
     def exp(self, element, exponent: int):
         """``element^exponent`` (variable base; no table)."""
+
+    def exp_many(
+        self, bases: Sequence, exponents: Sequence[int], powers: Sequence
+    ) -> List:
+        """``[base^exponent]`` for a batch, each equal to :meth:`exp`.
+
+        One of ``bases`` and ``exponents`` holds exactly one entry,
+        which is paired with every entry of the other: the OT sender
+        raises every ``R_i`` to its one ``y``, the receiver raises its
+        peer's one ``S`` to every ``x_i``.  ``powers[j]`` must be
+        ``g^exponents[j]``, which both roles already hold (``S`` and
+        the ``g^{x_i}`` of their responses); a group may use them to
+        recover each product faster.
+        """
+        if len(powers) != len(exponents):
+            raise CryptoError(
+                f"{len(exponents)} exponents need as many generator "
+                f"powers, got {len(powers)}"
+            )
+        if not bases or not exponents:
+            return []
+        if len(bases) != 1 and len(exponents) != 1:
+            raise CryptoError(
+                "exp_many pairs one base with many exponents or one "
+                f"exponent with many bases, got {len(bases)} and "
+                f"{len(exponents)}"
+            )
+        return self._exp_many(list(bases), list(exponents), list(powers))
+
+    @abstractmethod
+    def _exp_many(self, bases: list, exponents: list, powers: list) -> List:
+        """:meth:`exp_many` on validated shapes (one side has length 1)."""
 
     @abstractmethod
     def mul(self, a, b):

@@ -29,10 +29,11 @@ from repro.utils.rng import ensure_rng
 DEFAULT_COMB_WINDOW = int(os.environ.get("WAVEKEY_COMB_WINDOW", "6"))
 
 #: Window of the per-element tables :meth:`DHGroup.comb_for` builds for
-#: one OT round's 36 receiver keys on a peer's announce.  Measured
-#: build + 36 powers of 256-bit exponents on the 512-bit group
-#: (EXPERIMENTS.md "Batch-form OT"): window 2 10.2 ms, 3 8.7 ms, 4
-#: 8.0 ms, 5 8.6 ms, 6 10.3 ms, against 22.2 ms for 36 ``pow``.
+#: one OT round's 36 receiver keys on a peer's announce (through
+#: :meth:`DHGroup.exp_many`).  Measured build + 36 powers of 256-bit
+#: exponents on the 512-bit group (EXPERIMENTS.md "Batch-form OT"):
+#: window 2 10.2 ms, 3 8.7 ms, 4 8.0 ms, 5 8.6 ms, 6 10.3 ms, against
+#: 22.2 ms for 36 ``pow``.
 ELEMENT_COMB_WINDOW = 4
 
 _SMALL_PRIMES = (
@@ -319,6 +320,18 @@ class DHGroup(Group):
     def exp(self, element: int, exponent: int) -> int:
         """``element ** exponent mod prime`` (variable base)."""
         return pow(element, exponent, self.prime)
+
+    def _exp_many(self, bases, exponents, powers):
+        """One ``pow`` per product, except that one base meeting many
+        exponents (the OT receiver's keys) runs through a per-call
+        :meth:`comb_for` table.  The generator powers are not needed."""
+        if len(bases) == 1:
+            if len(exponents) > 1 and self._comb_enabled:
+                power = self.comb_for(bases[0]).power
+                return [power(e) for e in exponents]
+            return [pow(bases[0], e, self.prime) for e in exponents]
+        exponent = exponents[0]
+        return [pow(b, exponent, self.prime) for b in bases]
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.prime

@@ -23,10 +23,14 @@ every peer element before any exponent touches it.
 
 Fast paths, each with the reference arithmetic kept beside it:
 
-* The receiver's ``l_s`` key powers ``S^{x_i}`` share one base, so they
-  run through one per-round fixed-base table
-  (:meth:`~repro.crypto.group.Group.comb_for`).  A comb-disabled MODP
-  clone keeps plain :meth:`~repro.crypto.group.Group.exp`.
+* Each role computes its ``l_s`` variable-base products in one
+  :meth:`~repro.crypto.group.Group.exp_many` call: the sender's
+  ``R_i^y`` (knowing ``g^y = S``), the receiver's ``S^{x_i}`` (knowing
+  each ``g^{x_i}``).  MODP runs one ``pow`` per product, and the
+  receiver's powers of the one base ``S`` through a per-round
+  fixed-base table; Curve25519 runs the x-only work on OpenSSL's X25519
+  ladder and recovers each exact Edwards point from the known
+  generator power (:func:`~repro.crypto.curve.ladder_products`).
 * The sender's second key is one multiplication by the precomputed
   ``S^{-y} = g^{-y^2}`` (:func:`~repro.crypto.pool.sender_k1_factor`)
   instead of a division and an exponentiation.
@@ -132,22 +136,32 @@ class OTSenderRound:
                 f"expected {len(secret_pairs)} OT responses, got "
                 f"{len(responses)}"
             )
-        group, y = self.group, self._y
+        group, y, s = self.group, self._y, self._s
+        rs = []
+        for response, (secret0, secret1) in zip(responses, secret_pairs):
+            if len(secret0) != len(secret1):
+                raise CryptoError("OT secrets must have equal length")
+            rs.append(group.decode_element(response))
+        k0_elements = group.exp_many(rs, [y], [s])
+        if self._k1_factor is not None:
+            # (R / S)^y == R^y * S^{-y}, with S^{-y} precomputed.
+            k1_elements = [
+                group.mul(k0, self._k1_factor) for k0 in k0_elements
+            ]
+        else:
+            k1_elements = group.exp_many(
+                [group.div(r, s) for r in rs], [y], [s]
+            )
         out = []
         for i, (response, (secret0, secret1)) in enumerate(
             zip(responses, secret_pairs)
         ):
-            if len(secret0) != len(secret1):
-                raise CryptoError("OT secrets must have equal length")
-            r = group.decode_element(response)
-            k0_element = group.exp(r, y)
-            if self._k1_factor is not None:
-                # (R / S)^y == R^y * S^{-y}, with S^{-y} precomputed.
-                k1_element = group.mul(k0_element, self._k1_factor)
-            else:
-                k1_element = group.exp(group.div(r, self._s), y)
-            k0 = instance_key(group, i, self._announce, response, k0_element)
-            k1 = instance_key(group, i, self._announce, response, k1_element)
+            k0 = instance_key(
+                group, i, self._announce, response, k0_elements[i]
+            )
+            k1 = instance_key(
+                group, i, self._announce, response, k1_elements[i]
+            )
             out.append(OTCiphertexts(
                 e0=xor_cipher(secret0, k0, b"ot0"),
                 e1=xor_cipher(secret1, k1, b"ot1"),
@@ -165,6 +179,7 @@ class OTReceiverRound:
         self._announce: Optional[bytes] = None
         self._choices: List[int] = []
         self._exponents: List[int] = []
+        self._powers: list = []
         self._responses: List[bytes] = []
 
     def respond(
@@ -183,7 +198,7 @@ class OTReceiverRound:
             raise ProtocolError(f"OT choices must be 0 or 1, got {choices}")
         group = self.group
         s = group.decode_element(announce)
-        exponents, responses = [], []
+        exponents, powers, responses = [], [], []
         for i, choice in enumerate(choices):
             if i < len(materials):
                 materials[i].claim(group)
@@ -192,12 +207,13 @@ class OTReceiverRound:
                 x = group.random_exponent(self._rng)
                 g_x = group.power(x)
             exponents.append(x)
+            powers.append(g_x)
             responses.append(
                 group.encode_element(group.mul(s, g_x) if choice else g_x)
             )
         self._s, self._announce = s, announce
         self._choices, self._exponents = choices, exponents
-        self._responses = responses
+        self._powers, self._responses = powers, responses
         return list(responses)
 
     def decrypt(self, ciphertexts: Sequence[OTCiphertexts]) -> List[bytes]:
@@ -209,18 +225,13 @@ class OTReceiverRound:
                 f"expected {len(self._exponents)} ciphertext pairs, got "
                 f"{len(ciphertexts)}"
             )
-        group, s = self.group, self._s
-        # All l_s key powers share the base S: one per-round table.
-        power = (
-            group.comb_for(s).power
-            if group.comb_enabled
-            else lambda x: group.exp(s, x)
-        )
+        group = self.group
+        elements = group.exp_many([self._s], self._exponents, self._powers)
         out = []
-        for i, (x, choice, response, pair) in enumerate(zip(
-            self._exponents, self._choices, self._responses, ciphertexts
+        for i, (element, choice, response, pair) in enumerate(zip(
+            elements, self._choices, self._responses, ciphertexts
         )):
-            key = instance_key(group, i, self._announce, response, power(x))
+            key = instance_key(group, i, self._announce, response, element)
             if choice:
                 out.append(xor_cipher(pair.e1, key, b"ot1"))
             else:

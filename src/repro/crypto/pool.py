@@ -18,7 +18,8 @@ consumed exactly once.
 A background refill thread tops stocks up to their high watermark
 whenever a take drains them below the low watermark, so the request
 path performs only the per-peer work: the sender's variable-base
-``R_i^y`` and the receiver's per-round table on ``S``.  An empty stock
+``R_i^y`` and the receiver's ``S^{x_i}``, both through
+:meth:`~repro.crypto.group.Group.exp_many`.  An empty stock
 is never an error: takes simply return fewer tuples than asked and the
 caller computes the remainder inline (counted as ``crypto.pool.miss``)
 — pool exhaustion degrades to exactly the pre-pool cost, it never

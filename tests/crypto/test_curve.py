@@ -1,18 +1,28 @@
 """Curve25519 tests: RFC 7748 vectors, encoding hygiene, cross-checks.
 
 The ladder is pinned to the published test vectors (both §5.2 vectors
-plus the iterated one), the Edwards arithmetic is cross-checked against
-the ladder through the birational map, and the decoder's rejection
-paths — non-canonical, off-curve, small-order — are exercised with
-hand-built encodings.
+plus the iterated one), OpenSSL's X25519 ladder is pinned to the same
+vectors, the Edwards arithmetic is cross-checked against the ladder
+through the birational map, the batched ladder products against
+:func:`scalar_mul`, and the decoder's rejection paths — non-canonical,
+off-curve, small-order — are exercised with hand-built encodings.
 """
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 from hypothesis import given, settings, strategies as st
 
+import repro
+import repro.crypto.curve as curve_module
 from repro.crypto.curve import (
     BASE_POINT,
     CURVE25519_GROUP,
@@ -55,11 +65,34 @@ ITERATED_1000 = (
 )
 
 
+def openssl_x25519(scalar: bytes, u: bytes) -> bytes:
+    return X25519PrivateKey.from_private_bytes(scalar).exchange(
+        X25519PublicKey.from_public_bytes(u)
+    )
+
+
 class TestX25519Vectors:
     @pytest.mark.parametrize("scalar,u,expected", [VECTOR_1, VECTOR_2])
     def test_rfc7748_section_5_2(self, scalar, u, expected):
         out = x25519(bytes.fromhex(scalar), bytes.fromhex(u))
         assert out.hex() == expected
+
+    @pytest.mark.parametrize("scalar,u,expected", [VECTOR_1, VECTOR_2])
+    def test_openssl_ladder_section_5_2(self, scalar, u, expected):
+        scalar, u = bytes.fromhex(scalar), bytes.fromhex(u)
+        assert openssl_x25519(scalar, u) == x25519(scalar, u)
+        assert openssl_x25519(scalar, u).hex() == expected
+
+    def test_openssl_ladder_iterated_1000(self):
+        """The products run on OpenSSL's ladder, so it is pinned to the
+        iterated vector the from-scratch ladder is pinned to above."""
+        k = u = X25519_BASE
+        for i in range(1000):
+            k, u = openssl_x25519(k, u), k
+            if i == 0:
+                assert k == x25519(X25519_BASE, X25519_BASE)
+                assert k.hex() == ITERATED_1
+        assert k.hex() == ITERATED_1000
 
     def test_rfc7748_iterated_1000(self):
         k = u = X25519_BASE
@@ -278,14 +311,14 @@ class TestCombProperties:
                 EdwardsComb(BASE_POINT, window=window)
 
 
-@lru_cache(maxsize=None)
-def _peer_comb(base: str) -> EdwardsComb:
-    return CURVE25519_GROUP.comb_for(BASES[base])
+def _power(n: int) -> EdwardsPoint:
+    return CURVE25519_GROUP.power(n)
 
 
 class TestPeerComb:
-    """The per-round table on a peer's announce computes exactly
-    ``n * S``, even when ``S`` carries a small-order component."""
+    """The receiver's call shape, one peer ``S`` raised to many
+    exponents, computes exactly ``n * S`` even when ``S`` carries a
+    small-order component."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -294,23 +327,154 @@ class TestPeerComb:
         shift=st.sampled_from([0, 8]),
     )
     def test_clamped_exponents_match_scalar_mul(self, base, data, shift):
-        """Shift 8 pushes the exponent past the table, onto the
+        """Shift 8 pushes the exponent out of clamped form, onto the
         fallback; it too must keep the multiple-of-8 that clears the
         torsion, so it must not reduce mod L."""
-        comb = _peer_comb(base)
         k = clamp_scalar(data) << shift
-        assert (k.bit_length() > comb.digits * comb.window) == bool(shift)
-        point = comb.power(k)
+        point, = CURVE25519_GROUP.exp_many([BASES[base]], [k], [_power(k)])
         assert point == scalar_mul(BASES[base], k)
         assert point == scalar_mul(BASES["subgroup"], k)
 
     @pytest.mark.parametrize("n", [L, L + 8, 1 << 300, -1, -8, -(1 << 300)])
     def test_exact_multiple_on_mixed_torsion(self, n):
         base = BASES["mixed-torsion"]
-        expected = scalar_mul_naive(base, abs(n))
-        if n < 0:
-            expected = expected.negate()
-        assert _peer_comb("mixed-torsion").power(n) == expected
+        point, = CURVE25519_GROUP.exp_many([base], [n], [_power(n)])
+        assert point == scalar_mul_naive(base, n)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the products :func:`ladder_products` hands to
+    :func:`scalar_mul` instead of the ladder."""
+    calls = []
+
+    def counting(point, n):
+        calls.append(n)
+        return scalar_mul(point, n)
+
+    monkeypatch.setattr(curve_module, "scalar_mul", counting)
+    return calls
+
+
+#: The eight points of order dividing 8: multiples of an order-8 point.
+SMALL_ORDER = [scalar_mul_naive(ORDER8, k) for k in range(8)]
+
+
+class TestLadderProducts:
+    """Batched products on OpenSSL's ladder are bit-identical to
+    :func:`scalar_mul`, in both call shapes, and an instance the ladder
+    cannot serve falls back to it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        base=st.sampled_from(["subgroup", "mixed-torsion"]),
+        seeds=st.lists(
+            st.binary(min_size=32, max_size=32), min_size=1, max_size=4
+        ),
+    )
+    def test_one_base_many_exponents(self, base, seeds):
+        point = BASES[base]
+        ks = [clamp_scalar(seed) for seed in seeds]
+        out = CURVE25519_GROUP.exp_many(
+            [point], ks, [_power(k) for k in ks]
+        )
+        assert [q.encode() for q in out] == [
+            scalar_mul(point, k).encode() for k in ks
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        bases=st.lists(
+            st.sampled_from(["subgroup", "mixed-torsion"]),
+            min_size=1, max_size=4,
+        ),
+        data=st.binary(min_size=32, max_size=32),
+    )
+    def test_one_exponent_many_bases(self, bases, data):
+        k = clamp_scalar(data)
+        points = [BASES[b] for b in bases]
+        out = CURVE25519_GROUP.exp_many(points, [k], [_power(k)])
+        assert [q.encode() for q in out] == [
+            scalar_mul(p, k).encode() for p in points
+        ]
+
+    def test_clamped_products_use_the_ladder(self, fallbacks):
+        rng = np.random.default_rng(4)
+        ks = [CURVE25519_GROUP.random_exponent(rng) for _ in range(3)]
+        points = [BASES["subgroup"], BASES["mixed-torsion"]]
+        for point in points:
+            CURVE25519_GROUP.exp_many([point], ks, [_power(k) for k in ks])
+        CURVE25519_GROUP.exp_many(points, ks[:1], [_power(ks[0])])
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("order", range(8))
+    def test_small_order_companion_falls_back(self, order, fallbacks):
+        """``B = T - G`` is a valid peer element whose companion
+        ``B + G = T`` has small order: the ladder rejects it (or it is
+        the identity), so the product comes from scalar_mul."""
+        torsion = SMALL_ORDER[order]
+        base = CURVE25519_GROUP.decode_element(
+            torsion.add(BASE_POINT.negate()).encode()
+        )
+        k = CURVE25519_GROUP.random_exponent(np.random.default_rng(order))
+        # (bases, exponents, products on the adversarial base)
+        shapes = [([base], [k, k], 2), ([base, BASES["subgroup"]], [k], 1)]
+        for bases, ks, adversarial in shapes:
+            fallbacks.clear()
+            out = CURVE25519_GROUP.exp_many(bases, ks, [_power(k)] * len(ks))
+            expected = [scalar_mul(b, n) for b in bases for n in ks]
+            assert [q.encode() for q in out] == [
+                q.encode() for q in expected
+            ]
+            assert fallbacks == [k] * adversarial
+
+    def test_wrong_power_falls_back(self, fallbacks):
+        """A ``powers`` entry that is not ``n * G`` recovers a point off
+        the curve; the check catches it and scalar_mul answers."""
+        k = CURVE25519_GROUP.random_exponent(np.random.default_rng(6))
+        point, = CURVE25519_GROUP.exp_many(
+            [BASES["subgroup"]], [k], [_power(k + 8)]
+        )
+        assert point == scalar_mul(BASES["subgroup"], k)
+        assert fallbacks == [k]
+
+    def test_shapes_are_checked(self):
+        G, S = CURVE25519_GROUP, BASES["subgroup"]
+        assert G.exp_many([S], [], []) == []
+        with pytest.raises(CryptoError):
+            G.exp_many([S, S], [8, 16], [_power(8), _power(16)])
+        with pytest.raises(CryptoError):
+            G.exp_many([S], [8, 16], [_power(8)])
+
+
+def test_modp_processes_never_import_cryptography():
+    """Only curve products load OpenSSL: the CLI plus one MODP
+    establishment leave ``cryptography`` out of ``sys.modules``."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import repro.cli\n"
+        "from repro.crypto import generate_dh_group\n"
+        "from repro.protocol import KeyAgreementConfig, run_key_agreement\n"
+        "from repro.utils.bits import BitSequence\n"
+        "seed = BitSequence.random(36, np.random.default_rng(1))\n"
+        "config = KeyAgreementConfig(\n"
+        "    key_length_bits=128, eta=0.1,\n"
+        "    group=generate_dh_group(96, rng=99))\n"
+        "assert run_key_agreement(seed, seed, config, rng=1).success\n"
+        "print('cryptography' in sys.modules)\n"
+        "from repro.crypto.curve import CURVE25519_GROUP as G\n"
+        "G.exp_many([G.power(8)], [1 << 254], [G.power(1 << 254)])\n"
+        "print('cryptography' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 class TestX25519LowOrder:

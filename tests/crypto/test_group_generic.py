@@ -113,3 +113,24 @@ class TestGenericOT:
     def test_decode_rejects_garbage(self, group):
         with pytest.raises(ProtocolError):
             group.decode_element(b"")
+
+    def test_exp_many_matches_exp_in_both_shapes(self, group):
+        """Every product equals exp: the curve's ladder recovery, MODP's
+        per-call comb, and the comb-disabled clone's plain pow."""
+        clones = [group]
+        if group is not CURVE25519_GROUP:
+            clones.append(group.with_comb(False))
+        rng = np.random.default_rng(9)
+        for g in clones:
+            exponents = [g.random_exponent(rng) for _ in range(3)]
+            powers = [g.power(e) for e in exponents]
+            bases = [g.power(g.random_exponent(rng)) for _ in range(3)]
+            encode = g.encode_element
+            out = g.exp_many(bases[:1], exponents, powers)
+            assert [encode(q) for q in out] == [
+                encode(g.exp(bases[0], e)) for e in exponents
+            ]
+            out = g.exp_many(bases, exponents[:1], powers[:1])
+            assert [encode(q) for q in out] == [
+                encode(g.exp(b, exponents[0])) for b in bases
+            ]
