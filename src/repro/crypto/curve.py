@@ -218,7 +218,11 @@ class EdwardsPoint:
 
     def encode(self) -> bytes:
         """Canonical 32-byte encoding: LE ``y``, sign of ``x`` in bit 255."""
-        inv_z = pow(self.z, -1, P)
+        return self.encode_scaled(pow(self.z, -1, P))
+
+    def encode_scaled(self, inv_z: int) -> bytes:
+        """:meth:`encode` given ``inv_z = 1/Z``, which a batch of points
+        shares the cost of (:func:`_batch_invert`)."""
         x = self.x * inv_z % P
         y = self.y * inv_z % P
         data = bytearray(y.to_bytes(32, "little"))
@@ -430,8 +434,28 @@ def _montgomery_us(points: List[EdwardsPoint]) -> List[Optional[bytes]]:
     ]
 
 
+def ladder_key(n: int):
+    """OpenSSL's X25519 private key for scalar ``n``, or ``None`` when
+    ``n`` is not in clamped form (the ladder clamps, so it cannot serve
+    it).  Building one costs ~50 µs, most of it a public key nobody
+    reads, so material that will meet a peer's base later builds its
+    key when it is made, off the request path."""
+    # Imported here, so processes that never multiply on the curve
+    # (MODP, resume-only) never load OpenSSL.
+    from cryptography.hazmat.primitives.asymmetric.x25519 import (
+        X25519PrivateKey,
+    )
+
+    if n >> 254 == 1 and not n & 7:
+        return X25519PrivateKey.from_private_bytes(n.to_bytes(32, "little"))
+    return None
+
+
 def ladder_products(
-    bases: List[EdwardsPoint], scalars: List[int], powers: List[EdwardsPoint]
+    bases: List[EdwardsPoint],
+    scalars: List[int],
+    powers: List[EdwardsPoint],
+    keys: Optional[List] = None,
 ) -> List[EdwardsPoint]:
     """``scalar_mul(base, n)`` for a batch, with the x-only work on
     OpenSSL's X25519 ladder; the result is the exact Edwards point.
@@ -452,12 +476,11 @@ def ladder_products(
     unclamped scalar, an identity companion, a ladder output of zero
     (a small-order companion such as ``B = T - G``), a zero
     denominator, or a result off the curve (a wrong ``powers`` entry)
-    — falls back to :func:`scalar_mul`.
+    — falls back to :func:`scalar_mul`.  ``keys[j]``, when given and
+    not ``None``, is ``scalars[j]``'s prebuilt :func:`ladder_key`; the
+    other scalars get theirs built here.
     """
-    # Imported here, so processes that never multiply on the curve
-    # (MODP, resume-only) never load OpenSSL.
     from cryptography.hazmat.primitives.asymmetric.x25519 import (
-        X25519PrivateKey,
         X25519PublicKey,
     )
 
@@ -475,9 +498,8 @@ def ladder_products(
     ]
     z_inverses = _batch_invert([q.z % P for q in powers])
     keys = [
-        X25519PrivateKey.from_private_bytes(n.to_bytes(32, "little"))
-        if n >> 254 == 1 and not n & 7 else None
-        for n in scalars
+        key if key is not None else ladder_key(n)
+        for n, key in zip(scalars, keys or [None] * len(scalars))
     ]
     recovered = []
     for b, j in pairs:
@@ -664,8 +686,11 @@ class Curve25519Group(Group):
     def exp(self, element: EdwardsPoint, exponent: int) -> EdwardsPoint:
         return scalar_mul(element, exponent)
 
-    def _exp_many(self, bases, exponents, powers):
-        return ladder_products(bases, exponents, powers)
+    def ladder_key(self, exponent: int):
+        return ladder_key(exponent)
+
+    def _exp_many(self, bases, exponents, powers, keys):
+        return ladder_products(bases, exponents, powers, keys)
 
     def mul(self, a: EdwardsPoint, b: EdwardsPoint) -> EdwardsPoint:
         return a.add(b)
@@ -682,6 +707,10 @@ class Curve25519Group(Group):
 
     def encode_element(self, element: EdwardsPoint) -> bytes:
         return element.encode()
+
+    def encode_elements(self, elements) -> List[bytes]:
+        inverses = _batch_invert([q.z % P for q in elements])
+        return [q.encode_scaled(inv) for q, inv in zip(elements, inverses)]
 
     def decode_element(self, data: bytes) -> EdwardsPoint:
         point = decode_point(data)

@@ -26,7 +26,7 @@ there and in :meth:`Group.contains`).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.crypto.hashes import hash_group_element
 from repro.errors import ConfigurationError, CryptoError
@@ -79,8 +79,18 @@ class Group(ABC):
     def exp(self, element, exponent: int):
         """``element^exponent`` (variable base; no table)."""
 
+    def ladder_key(self, exponent: int):
+        """A handle :meth:`exp_many` can reuse for ``exponent``, built
+        ahead so its cost leaves the request path; ``None`` when the
+        group has nothing to build (MODP, whose ``pow`` needs none)."""
+        return None
+
     def exp_many(
-        self, bases: Sequence, exponents: Sequence[int], powers: Sequence
+        self,
+        bases: Sequence,
+        exponents: Sequence[int],
+        powers: Sequence,
+        keys: Optional[Sequence] = None,
     ) -> List:
         """``[base^exponent]`` for a batch, each equal to :meth:`exp`.
 
@@ -90,12 +100,18 @@ class Group(ABC):
         peer's one ``S`` to every ``x_i``.  ``powers[j]`` must be
         ``g^exponents[j]``, which both roles already hold (``S`` and
         the ``g^{x_i}`` of their responses); a group may use them to
-        recover each product faster.
+        recover each product faster.  ``keys[j]``, when given, is
+        ``exponents[j]``'s :meth:`ladder_key` or ``None``.
         """
         if len(powers) != len(exponents):
             raise CryptoError(
                 f"{len(exponents)} exponents need as many generator "
                 f"powers, got {len(powers)}"
+            )
+        if keys is not None and len(keys) != len(exponents):
+            raise CryptoError(
+                f"{len(exponents)} exponents need as many ladder keys, "
+                f"got {len(keys)}"
             )
         if not bases or not exponents:
             return []
@@ -105,10 +121,16 @@ class Group(ABC):
                 f"exponent with many bases, got {len(bases)} and "
                 f"{len(exponents)}"
             )
-        return self._exp_many(list(bases), list(exponents), list(powers))
+        return self._exp_many(
+            list(bases), list(exponents), list(powers),
+            None if keys is None else list(keys),
+        )
 
     @abstractmethod
-    def _exp_many(self, bases: list, exponents: list, powers: list) -> List:
+    def _exp_many(
+        self, bases: list, exponents: list, powers: list,
+        keys: Optional[list],
+    ) -> List:
         """:meth:`exp_many` on validated shapes (one side has length 1)."""
 
     @abstractmethod
@@ -129,6 +151,11 @@ class Group(ABC):
     @abstractmethod
     def encode_element(self, element) -> bytes:
         """Canonical byte encoding (what the wire and the KDF see)."""
+
+    def encode_elements(self, elements: Sequence) -> List[bytes]:
+        """:meth:`encode_element` of each element; a group may share
+        work across the batch (the curve shares one inversion)."""
+        return [self.encode_element(e) for e in elements]
 
     @abstractmethod
     def decode_element(self, data: bytes):

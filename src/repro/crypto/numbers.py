@@ -321,10 +321,11 @@ class DHGroup(Group):
         """``element ** exponent mod prime`` (variable base)."""
         return pow(element, exponent, self.prime)
 
-    def _exp_many(self, bases, exponents, powers):
+    def _exp_many(self, bases, exponents, powers, keys):
         """One ``pow`` per product, except that one base meeting many
         exponents (the OT receiver's keys) runs through a per-call
-        :meth:`comb_for` table.  The generator powers are not needed."""
+        :meth:`comb_for` table.  The generator powers and ladder keys
+        are not needed."""
         if len(bases) == 1:
             if len(exponents) > 1 and self._comb_enabled:
                 power = self.comb_for(bases[0]).power

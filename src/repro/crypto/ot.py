@@ -35,10 +35,12 @@ Fast paths, each with the reference arithmetic kept beside it:
   ``S^{-y} = g^{-y^2}`` (:func:`~repro.crypto.pool.sender_k1_factor`)
   instead of a division and an exponentiation.
 * The fixed-base powers ``g^y`` and ``g^{x_i}`` can come ready-made
-  from an :class:`~repro.crypto.pool.OTMaterialPool`: the sender claims
-  one :class:`~repro.crypto.pool.SenderMaterial` per round, the
-  receiver one :class:`~repro.crypto.pool.ReceiverMaterial` per
-  instance.
+  from an :class:`~repro.crypto.pool.OTMaterialPool` or a client's
+  per-round stock: the sender claims one
+  :class:`~repro.crypto.pool.SenderMaterial` per round, the receiver
+  one :class:`~repro.crypto.pool.ReceiverMaterial` per instance, which
+  also carries the encoding of ``g^{x_i}`` (a choice-0 ``R_i``) and the
+  ladder key its ``S^{x_i}`` runs on.
 """
 
 from __future__ import annotations
@@ -180,6 +182,7 @@ class OTReceiverRound:
         self._choices: List[int] = []
         self._exponents: List[int] = []
         self._powers: list = []
+        self._keys: list = []
         self._responses: List[bytes] = []
 
     def respond(
@@ -191,29 +194,43 @@ class OTReceiverRound:
         """Answer the encoded ``S`` with one encoded ``R_i`` per choice.
 
         ``materials`` supplies warm ``(x, g^x)`` tuples for the first
-        instances; the rest are computed inline.
+        instances; the rest are computed inline.  A choice-0 instance
+        answers with its material's prebuilt encoding of ``g^x``; every
+        other ``R_i`` is encoded in one batch.
         """
         choices = [int(c) for c in choices]
         if any(c not in (0, 1) for c in choices):
             raise ProtocolError(f"OT choices must be 0 or 1, got {choices}")
         group = self.group
         s = group.decode_element(announce)
-        exponents, powers, responses = [], [], []
+        exponents, powers, keys, responses = [], [], [], []
+        unencoded = []  # (instance, R_i) whose encoding replaces responses[i]
         for i, choice in enumerate(choices):
+            encoded = key = None
             if i < len(materials):
-                materials[i].claim(group)
-                x, g_x = materials[i].x, materials[i].g_x
+                material = materials[i]
+                material.claim(group)
+                x, g_x = material.x, material.g_x
+                encoded, key = material.encoded, material.ladder_key
             else:
                 x = group.random_exponent(self._rng)
                 g_x = group.power(x)
             exponents.append(x)
             powers.append(g_x)
-            responses.append(
-                group.encode_element(group.mul(s, g_x) if choice else g_x)
-            )
+            keys.append(key)
+            if choice:
+                unencoded.append((i, group.mul(s, g_x)))
+            elif encoded is None:
+                unencoded.append((i, g_x))
+            responses.append(encoded)
+        if unencoded:
+            indices, elements = zip(*unencoded)
+            for i, data in zip(indices, group.encode_elements(elements)):
+                responses[i] = data
         self._s, self._announce = s, announce
         self._choices, self._exponents = choices, exponents
-        self._powers, self._responses = powers, responses
+        self._powers, self._keys = powers, keys
+        self._responses = responses
         return list(responses)
 
     def decrypt(self, ciphertexts: Sequence[OTCiphertexts]) -> List[bytes]:
@@ -226,7 +243,9 @@ class OTReceiverRound:
                 f"{len(ciphertexts)}"
             )
         group = self.group
-        elements = group.exp_many([self._s], self._exponents, self._powers)
+        elements = group.exp_many(
+            [self._s], self._exponents, self._powers, self._keys
+        )
         out = []
         for i, (element, choice, response, pair) in enumerate(zip(
             elements, self._choices, self._responses, ciphertexts

@@ -100,14 +100,25 @@ class SenderMaterial:
 
 class ReceiverMaterial:
     """One precomputed, single-use receiver tuple ``(x, g^x)``: it
-    answers one OT instance."""
+    answers one OT instance.
 
-    __slots__ = ("group", "x", "g_x", "_consumed")
+    ``encoded`` is the wire encoding of ``g^x``, which is the whole
+    response ``R_i`` of a choice-0 instance, and ``ladder_key`` is
+    ``x``'s :meth:`~repro.crypto.group.Group.ladder_key` for the
+    receiver's later ``S^x``; either is ``None`` when not built.
+    """
 
-    def __init__(self, group: Group, x: int, g_x):
+    __slots__ = ("group", "x", "g_x", "encoded", "ladder_key", "_consumed")
+
+    def __init__(
+        self, group: Group, x: int, g_x, encoded: Optional[bytes] = None,
+        ladder_key=None,
+    ):
         self.group = group
         self.x = x
         self.g_x = g_x
+        self.encoded = encoded
+        self.ladder_key = ladder_key
         self._consumed = False
 
     def claim(self, group: Group) -> None:
@@ -123,6 +134,25 @@ class ReceiverMaterial:
                 "answers exactly one instance"
             )
         self._consumed = True
+
+
+def make_sender(group: Group, rng) -> SenderMaterial:
+    """Draw ``y`` from ``rng`` exactly as an inline announce does and
+    build its tuple."""
+    y = group.random_exponent(rng)
+    return SenderMaterial(group, y, group.power(y), sender_k1_factor(group, y))
+
+
+def make_receivers(group: Group, rng, n: int) -> List[ReceiverMaterial]:
+    """Draw ``n`` exponents from ``rng`` exactly as an inline respond
+    does and build their tuples, with encodings (encoded as one batch)
+    and ladder keys."""
+    xs = [group.random_exponent(rng) for _ in range(n)]
+    powers = [group.power(x) for x in xs]
+    return [
+        ReceiverMaterial(group, x, g_x, encoded, group.ladder_key(x))
+        for x, g_x, encoded in zip(xs, powers, group.encode_elements(powers))
+    ]
 
 
 class _GroupStock:
@@ -280,16 +310,6 @@ class OTMaterialPool:
 
     # -- production (off the hot path) -------------------------------------
 
-    def _make_sender(self, group: Group, rng) -> SenderMaterial:
-        y = group.random_exponent(rng)
-        return SenderMaterial(
-            group, y, group.power(y), sender_k1_factor(group, y)
-        )
-
-    def _make_receiver(self, group: Group, rng) -> ReceiverMaterial:
-        x = group.random_exponent(rng)
-        return ReceiverMaterial(group, x, group.power(x))
-
     def fill(self, group: Optional[Group] = None) -> int:
         """Synchronously top every (or one) stock up to ``depth``.
 
@@ -318,13 +338,14 @@ class OTMaterialPool:
                 want_r = self.depth - len(stock.receivers)
             if want_s <= 0 and want_r <= 0:
                 break
-            batch_s: List[SenderMaterial] = []
-            batch_r: List[ReceiverMaterial] = []
             with self._rng_lock:
-                for _ in range(min(want_s, _REFILL_CHUNK)):
-                    batch_s.append(self._make_sender(group, self._rng))
-                for _ in range(min(want_r, _REFILL_CHUNK)):
-                    batch_r.append(self._make_receiver(group, self._rng))
+                batch_s = [
+                    make_sender(group, self._rng)
+                    for _ in range(min(want_s, _REFILL_CHUNK))
+                ]
+                batch_r = make_receivers(
+                    group, self._rng, max(0, min(want_r, _REFILL_CHUNK))
+                )
             with stock.lock:
                 stock.senders.extend(batch_s)
                 stock.receivers.extend(batch_r)

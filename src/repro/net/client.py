@@ -18,8 +18,21 @@ Fault handling is the SDK contract:
   deadline breached, load shed) are returned as results, not retried,
   because the server already applied its own retry policy;
 * every run emits client-side spans (``net.establish`` -> connect /
-  hello / per-round stages) and frame/byte metrics when given a tracer
-  or registry.
+  hello / prepare / per-round stages) and frame/byte metrics when given
+  a tracer or registry.
+
+While it waits for each round's :class:`SeedGrant` (the gesture window,
+in which the server acquires and encodes), the client fills a one-round
+:class:`~repro.protocol.agreement.RoundStock`: the sequence pairs and
+the sender tuple first, then receiver tuples a few at a time, with a
+zero-timeout readability check between chunks so that a grant already
+in never waits behind more than one chunk.  The stock is drawn from the
+attempt's own streams, so the round sends the same bytes whether it was
+full, partial or empty.  It is prepared for the key-seed length of the
+last grant; a grant of another length or for another attempt, or the
+end of the connection, discards it.  After a failed round the next
+stock waits a moment before it starts, for the Verdict that ends a
+session with no attempts left.
 """
 
 from __future__ import annotations
@@ -65,7 +78,11 @@ from repro.net.codec import (
 from repro.net.connection import FrameConnection, connect
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, current_context, resolve_tracer
-from repro.protocol.agreement import AgreementParty, KeyAgreementConfig
+from repro.protocol.agreement import (
+    AgreementParty,
+    KeyAgreementConfig,
+    RoundStock,
+)
 from repro.protocol.messages import (
     ConfirmationResponse,
     OTAnnounce,
@@ -75,6 +92,21 @@ from repro.protocol.messages import (
 )
 from repro.utils.bits import BitSequence
 from repro.utils.rng import child_rng
+
+
+#: Receiver tuples prepared between two readability checks: one chunk
+#: is the most a grant already in waits before the round starts.
+_PREPARE_CHUNK = 4
+
+#: The key-seed length a stock is prepared for before the first grant
+#: tells the client the server's: ``l_s`` of the default bundle.
+_FIRST_SEED_BITS = 36
+
+#: How long a stock after a failed round waits for a frame before it
+#: starts.  A session with no attempts left sends its Verdict within
+#: about a millisecond of the failed round; a retry's grant needs a
+#: fresh acquisition first, so the wait costs it nothing.
+_RETRY_SETTLE_S = 0.002
 
 
 def _parse_endpoint(spec: str) -> Tuple[str, int]:
@@ -237,11 +269,13 @@ class WaveKeyNetClient:
             pair = _parse_endpoint(spec)
             if pair not in self._endpoints:
                 self._endpoints.append(pair)
-        # The client has no OT pool, so its first craft_announce would
-        # build the group's fixed-base table on the M_A deadline path;
-        # one fixed-base power builds it here instead.
+        # Each round's OT material is prepared while the client waits
+        # for its grant; building the group's fixed-base table here
+        # keeps that one-time cost out of the first gesture window.
         if self.config.group.comb_enabled:
             self.config.group.power(1)
+        # The key-seed length stocks are prepared for: the last grant's.
+        self._seed_bits = _FIRST_SEED_BITS
 
     # -- public API --------------------------------------------------------
 
@@ -478,20 +512,49 @@ class WaveKeyNetClient:
             rounds: List[RoundResult] = []
             session_key: Optional[BitSequence] = None
             grant: Optional[TicketGrant] = None
+            # The stock for attempt last_attempt + 1, prepared while no
+            # round has confirmed (so another grant may come).
+            last_attempt = 0
+            stock: Optional[RoundStock] = None
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ConnectionTimeout(
                         f"no verdict within {config.establish_timeout_s}s"
                     )
-                message = conn.recv(
-                    timeout_s=min(config.read_timeout_s, remaining)
-                )
+                timeout_s = min(config.read_timeout_s, remaining)
+                if stock is None and session_key is None:
+                    stock = RoundStock(config.group, child_rng(
+                        rng_seed, "net-client", last_attempt + 1
+                    ))
+                if stock is not None:
+                    with tracer.span(
+                        "net.prepare", group=config.group.name
+                    ) as span:
+                        self._prepare(
+                            conn, stock, agreement_config,
+                            settle=last_attempt > 0,
+                        )
+                        message = conn.recv(timeout_s=timeout_s)
+                        span.set_attribute("ready", len(stock.receivers))
+                else:
+                    message = conn.recv(timeout_s=timeout_s)
                 if isinstance(message, SeedGrant):
+                    if (
+                        stock is None
+                        or message.attempt != last_attempt + 1
+                        or len(message.seed) != self._seed_bits
+                    ):
+                        # The cold path: an empty stock of this attempt.
+                        stock = RoundStock(config.group, child_rng(
+                            rng_seed, "net-client", message.attempt
+                        ))
+                    self._seed_bits = len(message.seed)
                     session_key = self._run_round(
-                        conn, accept, agreement_config, message,
-                        rng_seed, rounds, tracer,
+                        conn, accept, agreement_config, message, stock,
+                        rounds, tracer,
                     )
+                    last_attempt, stock = message.attempt, None
                 elif isinstance(message, RoundResult):
                     rounds.append(message)
                 elif isinstance(message, TicketGrant):
@@ -569,6 +632,30 @@ class WaveKeyNetClient:
 
     # -- one protocol round ------------------------------------------------
 
+    def _prepare(
+        self,
+        conn: FrameConnection,
+        stock: RoundStock,
+        agreement_config: KeyAgreementConfig,
+        settle: bool,
+    ) -> None:
+        """Fill ``stock`` for the expected key-seed length until it is
+        full or a frame is waiting: the sequence pairs and the sender
+        tuple, which ``M_A`` needs, then receiver tuples a chunk at a
+        time.  A ``settle`` stock, one after a failed round, first
+        gives the Verdict that would make it moot
+        :data:`_RETRY_SETTLE_S` to arrive."""
+        if settle and stock.pairs is None and conn.readable(_RETRY_SETTLE_S):
+            return
+        l_s = self._seed_bits
+        stock.prepare_pairs(l_s, agreement_config.segment_bits(l_s))
+        stock.prepare_sender()
+        while not conn.readable():
+            missing = l_s - len(stock.receivers)
+            if missing <= 0:
+                return
+            stock.prepare_receivers(min(_PREPARE_CHUNK, missing))
+
     def _expect(self, conn: FrameConnection, message_type, peer: str):
         message = conn.recv()
         if isinstance(message, RoundResult):
@@ -591,18 +678,19 @@ class WaveKeyNetClient:
         accept: Accept,
         agreement_config: KeyAgreementConfig,
         grant: SeedGrant,
-        rng_seed: int,
+        stock: RoundStock,
         rounds: List[RoundResult],
         tracer: Tracer,
     ) -> Optional[BitSequence]:
-        """Play the mobile side of one round; returns the session key
-        when this round's confirmation verified, else None."""
+        """Play the mobile side of one round on the attempt's ``stock``;
+        returns the session key when this round's confirmation verified,
+        else None."""
         party = AgreementParty(
             self.config.name,
             grant.seed,
             agreement_config,
-            rng=child_rng(rng_seed, "net-client", grant.attempt),
             own_sequences_first=True,
+            stock=stock,
         )
         peer = accept.sender
         with tracer.span("net.round", attempt=grant.attempt) as span:

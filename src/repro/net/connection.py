@@ -20,6 +20,7 @@ the loop's writability event.
 
 from __future__ import annotations
 
+import select
 import socket
 import time
 from typing import Optional, Tuple
@@ -105,6 +106,20 @@ class FrameConnection:
         except OSError:
             pass
         self._sock.close()
+
+    def readable(self, timeout_s: float = 0.0) -> bool:
+        """Whether a read would start without waiting: a ``select`` on
+        the socket, zero-timeout unless ``timeout_s`` allows a wait.
+        Exact, because :meth:`_recv_exactly` never reads ahead, so no
+        received byte sits in a user-space buffer.  A peer's close also
+        reads as readable; a closed connection reads as not readable."""
+        if self._closed:
+            return False
+        try:
+            ready, _, _ = select.select([self._sock], [], [], timeout_s)
+        except (OSError, ValueError):
+            return False
+        return bool(ready)
 
     def __enter__(self) -> "FrameConnection":
         return self

@@ -30,7 +30,13 @@ from repro.crypto.hashes import hmac_digest, hmac_verify
 from repro.crypto.group import Group
 from repro.crypto.numbers import WAVEKEY_GROUP_512
 from repro.crypto.ot import OTReceiverRound, OTSenderRound
-from repro.crypto.pool import OTMaterialPool
+from repro.crypto.pool import (
+    OTMaterialPool,
+    ReceiverMaterial,
+    SenderMaterial,
+    make_receivers,
+    make_sender,
+)
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -107,8 +113,70 @@ def _sketch_for(
     return SegmentSecureSketch(n_segments, segment_bits, tolerance)
 
 
+class RoundStock:
+    """A party's random streams for one round, and the material drawn
+    from them ahead of the key-seed.
+
+    The streams are spawned from ``rng`` in one fixed order: the
+    sequence pairs, the OT sender, the OT receiver; the party's later
+    spawns (sketch, nonce) continue from ``root``.  Neither the pairs
+    nor a round's fixed-base OT work depend on the seed or the peer, so
+    a party that knows its round's ``rng`` early (the mobile, during the
+    gesture window) can draw the pairs, the sender tuple and a prefix of
+    its receiver tuples before the round starts, from the very streams
+    the round would draw them from inline.  An :class:`AgreementParty`
+    on the stock then sends exactly the bytes it would have sent without
+    it, however much was ready; the rest is computed inline, and a party
+    built from an ``rng`` runs on an empty stock.  Each tuple is
+    single-use.
+    """
+
+    def __init__(self, group: Group, rng):
+        self.group = group
+        self.root = ensure_rng(rng)
+        self.pair_rng = child_rng(self.root, "pairs")
+        self.send_rng = child_rng(self.root, "send")
+        self.recv_rng = child_rng(self.root, "recv")
+        self.pairs: Optional[List[Tuple[BitSequence, BitSequence]]] = None
+        self.sender: Optional[SenderMaterial] = None
+        self.receivers: List[ReceiverMaterial] = []
+
+    def prepare_pairs(
+        self, l_s: int, l_b: int
+    ) -> List[Tuple[BitSequence, BitSequence]]:
+        """The round's ``l_s`` random sequence pairs of ``l_b`` bits,
+        drawn on the first call."""
+        if self.pairs is None:
+            self.pairs = [
+                (
+                    BitSequence.random(l_b, self.pair_rng),
+                    BitSequence.random(l_b, self.pair_rng),
+                )
+                for _ in range(l_s)
+            ]
+        elif len(self.pairs) != l_s or len(self.pairs[0][0]) != l_b:
+            raise ConfigurationError(
+                "sequence pairs were drawn for another key-seed length"
+            )
+        return self.pairs
+
+    def prepare_sender(self) -> None:
+        """Build the round's sender tuple (once)."""
+        if self.sender is None:
+            self.sender = make_sender(self.group, self.send_rng)
+
+    def prepare_receivers(self, n: int) -> None:
+        """Build the next ``n`` receiver tuples."""
+        self.receivers += make_receivers(self.group, self.recv_rng, n)
+
+
 class AgreementParty:
-    """One endpoint (mobile device or RFID server) of the agreement."""
+    """One endpoint (mobile device or RFID server) of the agreement.
+
+    Its randomness comes either from ``rng``, through an empty
+    :class:`RoundStock`, or from a prepared ``stock`` of the same
+    streams; never from both.
+    """
 
     def __init__(
         self,
@@ -118,38 +186,35 @@ class AgreementParty:
         rng=None,
         own_sequences_first: bool = True,
         pool: Optional[OTMaterialPool] = None,
+        stock: Optional[RoundStock] = None,
     ):
         if len(seed) < 2:
             raise ConfigurationError("key-seed too short")
+        if stock is None:
+            stock = RoundStock(config.group, rng)
+        elif rng is not None or pool is not None:
+            raise ConfigurationError(
+                "a party built on a prepared stock takes no rng or pool"
+            )
         self.name = name
         self.seed = seed
         self.config = config
         # Warm OT material: announce draws one precomputed sender
-        # tuple per round and respond one receiver tuple per instance;
-        # an exhausted (or absent) pool falls back to inline compute.
+        # tuple per round and respond one receiver tuple per instance,
+        # from the stock or else the pool; whatever neither holds is
+        # computed inline.
         self.pool = pool
+        self.stock = stock
         # Fig. 4 fixes the segment order as (x_i || y_i) on BOTH sides:
         # the mobile device's own pairs are the x's (own first), the
         # server's own pairs are the y's (own second).
         self.own_sequences_first = bool(own_sequences_first)
-        self._rng = ensure_rng(rng)
+        self._rng = stock.root
         self.l_s = len(seed)
         self.l_b = config.segment_bits(self.l_s)
-
-        pair_rng = child_rng(self._rng, "pairs")
-        self.sequence_pairs: List[Tuple[BitSequence, BitSequence]] = [
-            (
-                BitSequence.random(self.l_b, pair_rng),
-                BitSequence.random(self.l_b, pair_rng),
-            )
-            for _ in range(self.l_s)
-        ]
-        self._sender = OTSenderRound(
-            config.group, child_rng(self._rng, "send")
-        )
-        self._receiver = OTReceiverRound(
-            config.group, child_rng(self._rng, "recv")
-        )
+        self.sequence_pairs = stock.prepare_pairs(self.l_s, self.l_b)
+        self._sender = OTSenderRound(config.group, stock.send_rng)
+        self._receiver = OTReceiverRound(config.group, stock.recv_rng)
         self._received_segments: Optional[List[BitSequence]] = None
         self.preliminary_key: Optional[BitSequence] = None
         self.final_key: Optional[BitSequence] = None
@@ -159,12 +224,11 @@ class AgreementParty:
 
     def craft_announce(self) -> OTAnnounce:
         """``M_A``: the one element ``S`` keying this party's OT round."""
-        materials = (
-            self.pool.take_senders(self.config.group, 1)
-            if self.pool is not None
-            else ()
-        )
-        element = self._sender.announce(materials[0] if materials else None)
+        material = self.stock.sender
+        if material is None and self.pool is not None:
+            taken = self.pool.take_senders(self.config.group, 1)
+            material = taken[0] if taken else None
+        element = self._sender.announce(material)
         return OTAnnounce(sender=self.name, elements=(element,))
 
     def craft_ciphertexts(self, response: OTResponse) -> OTCiphertextBatch:
@@ -193,11 +257,9 @@ class AgreementParty:
                 f"{self.name}: expected 1 element in OT announces, got "
                 f"{len(announce.elements)}"
             )
-        materials = (
-            self.pool.take_receivers(self.config.group, self.l_s)
-            if self.pool is not None
-            else ()
-        )
+        materials = self.stock.receivers[: self.l_s]
+        if not materials and self.pool is not None:
+            materials = self.pool.take_receivers(self.config.group, self.l_s)
         elements = self._receiver.respond(
             announce.elements[0],
             [int(self.seed[i]) for i in range(self.l_s)],

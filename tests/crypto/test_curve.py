@@ -398,6 +398,46 @@ class TestLadderProducts:
             scalar_mul(p, k).encode() for p in points
         ]
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        base=st.sampled_from(["subgroup", "mixed-torsion"]),
+        seeds=st.lists(
+            st.binary(min_size=32, max_size=32), min_size=1, max_size=4
+        ),
+        prebuilt=st.lists(st.booleans(), min_size=4, max_size=4),
+        shift=st.sampled_from([0, 8]),
+    )
+    def test_prebuilt_ladder_keys_match_scalar_mul(
+        self, base, seeds, prebuilt, shift
+    ):
+        """Products from keys built ahead (pool / client stock) equal
+        scalar_mul, mixed with instances that build theirs here; an
+        unclamped scalar has no key and falls back."""
+        point = BASES[base]
+        ks = [clamp_scalar(seed) << shift for seed in seeds]
+        keys = [
+            CURVE25519_GROUP.ladder_key(k) if use else None
+            for k, use in zip(ks, prebuilt)
+        ]
+        out = CURVE25519_GROUP.exp_many(
+            [point], ks, [_power(k) for k in ks], keys
+        )
+        assert [q.encode() for q in out] == [
+            scalar_mul(point, k).encode() for k in ks
+        ]
+
+    def test_prebuilt_keys_are_not_rebuilt(self, monkeypatch, fallbacks):
+        rng = np.random.default_rng(5)
+        ks = [CURVE25519_GROUP.random_exponent(rng) for _ in range(3)]
+        keys = [CURVE25519_GROUP.ladder_key(k) for k in ks]
+        built = []
+        monkeypatch.setattr(curve_module, "ladder_key", built.append)
+        out = CURVE25519_GROUP.exp_many(
+            [BASES["subgroup"]], ks, [_power(k) for k in ks], keys
+        )
+        assert out == [scalar_mul(BASES["subgroup"], k) for k in ks]
+        assert built == [] and fallbacks == []
+
     def test_clamped_products_use_the_ladder(self, fallbacks):
         rng = np.random.default_rng(4)
         ks = [CURVE25519_GROUP.random_exponent(rng) for _ in range(3)]
@@ -445,6 +485,8 @@ class TestLadderProducts:
             G.exp_many([S, S], [8, 16], [_power(8), _power(16)])
         with pytest.raises(CryptoError):
             G.exp_many([S], [8, 16], [_power(8)])
+        with pytest.raises(CryptoError):
+            G.exp_many([S], [8, 16], [_power(8), _power(16)], [None])
 
 
 def test_modp_processes_never_import_cryptography():

@@ -19,7 +19,7 @@ from repro.crypto import (
     run_ot_round,
 )
 from repro.crypto.group import GROUP_CHOICES, Group
-from repro.crypto.pool import sender_k1_factor
+from repro.crypto.pool import make_receivers, sender_k1_factor
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.metrics import MetricsRegistry
 
@@ -109,6 +109,30 @@ class TestGenericOT:
         data = group.encode_element(element)
         assert isinstance(data, bytes)
         assert group.decode_element(data) == element
+
+    def test_batch_encoding_matches_one_by_one(self, group):
+        rng = np.random.default_rng(6)
+        elements = [group.power(group.random_exponent(rng)) for _ in range(5)]
+        # A sum keeps a non-trivial projective Z on the curve.
+        elements.append(group.mul(elements[0], elements[1]))
+        assert group.encode_elements(elements) == [
+            group.encode_element(e) for e in elements
+        ]
+        assert group.encode_elements([]) == []
+
+    def test_made_receivers_carry_encoding_and_ladder_key(self, group):
+        """Pool and client stock build the tuples an inline respond
+        would draw, plus g^x's encoding and, on the curve only, the
+        ladder key of x."""
+        made = make_receivers(group, np.random.default_rng(8), 3)
+        rng = np.random.default_rng(8)
+        for material in made:
+            assert material.x == group.random_exponent(rng)
+            assert material.encoded == group.encode_element(material.g_x)
+            if group is CURVE25519_GROUP:
+                assert material.ladder_key is not None
+            else:
+                assert material.ladder_key is None
 
     def test_decode_rejects_garbage(self, group):
         with pytest.raises(ProtocolError):
