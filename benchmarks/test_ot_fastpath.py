@@ -5,11 +5,11 @@ instances in each direction, and the naive arithmetic spends four
 full-width modular exponentiations (plus one inverse) per instance.
 The fast path stacks three standard levers:
 
-* **fixed-base comb** tables for every ``g^x``, and one per-round table
-  on the peer's ``S`` for the receiver's keys (one multiplication per
-  exponent digit, no squarings);
+* **fixed-base comb** tables for every ``g^x`` (one multiplication per
+  exponent digit, no squarings), beside OpenSSL's modexp for the
+  variable-base products (``Group.exp_many``);
 * **short secret exponents** (256-bit for the 512-bit simulation group,
-  RFC 7919 s5.2) halving every remaining variable-base ``pow``;
+  RFC 7919 s5.2) halving every comb power;
 * the **warm material pool** moving both fixed-base exponentiations and
   the sender's second-key factor off the request path entirely.
 

@@ -81,8 +81,10 @@ class Group(ABC):
 
     def ladder_key(self, exponent: int):
         """A handle :meth:`exp_many` can reuse for ``exponent``, built
-        ahead so its cost leaves the request path; ``None`` when the
-        group has nothing to build (MODP, whose ``pow`` needs none)."""
+        ahead so its cost leaves the request path: an OpenSSL private
+        key (X25519 on the curve, DH for MODP).  ``None`` when the
+        group has nothing to build for it, and such a product runs on
+        the reference arithmetic."""
         return None
 
     def exp_many(

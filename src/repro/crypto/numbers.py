@@ -5,6 +5,16 @@ by "two large prime numbers g and u" (Fig. 3's modulus ``u`` and base
 ``g``).  Production deployments should use a standardized group; we ship
 the RFC 3526 1536- and 2048-bit MODP groups (generator 2, safe primes)
 and a generator for small test groups so unit tests stay fast.
+
+The OT's variable-base products (:meth:`DHGroup.exp_many`) run on
+OpenSSL's Montgomery modexp through ``cryptography``'s DH exchange,
+imported on first use: each exponent becomes a DH private key and each
+base a DH public key, both loaded from DER, so the exchange's shared
+secret is exactly ``base^exponent mod p``.  OpenSSL rejects a secret of
+1 or ``p - 1`` (and ``cryptography`` then panics rather than raising),
+so only inputs whose product cannot be ±1 reach it; the rest, and
+every group below OpenSSL's 512-bit DH minimum, run on the built-in
+``pow``, which stays the reference.
 """
 
 from __future__ import annotations
@@ -27,14 +37,6 @@ from repro.utils.rng import ensure_rng
 #: wider windows buy little more while the table grows 2x per bit.
 #: Override per call site, or process-wide via ``WAVEKEY_COMB_WINDOW``.
 DEFAULT_COMB_WINDOW = int(os.environ.get("WAVEKEY_COMB_WINDOW", "6"))
-
-#: Window of the per-element tables :meth:`DHGroup.comb_for` builds for
-#: one OT round's 36 receiver keys on a peer's announce (through
-#: :meth:`DHGroup.exp_many`).  Measured build + 36 powers of 256-bit
-#: exponents on the 512-bit group (EXPERIMENTS.md "Batch-form OT"):
-#: window 2 10.2 ms, 3 8.7 ms, 4 8.0 ms, 5 8.6 ms, 6 10.3 ms, against
-#: 22.2 ms for 36 ``pow``.
-ELEMENT_COMB_WINDOW = 4
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -166,6 +168,29 @@ class FixedBaseComb:
         return acc
 
 
+#: DER of the PKCS #3 ``dhKeyAgreement`` object identifier
+#: (1.2.840.113549.1.3.1), which names a ``(p, g)`` DH key.
+_DH_KEY_AGREEMENT_OID = bytes.fromhex("06092a864886f70d010301")
+
+#: OpenSSL refuses DH over primes below this many bits.
+_OPENSSL_DH_MIN_BITS = 512
+
+
+def _der(tag: int, body: bytes) -> bytes:
+    """One DER tag-length-value."""
+    n = len(body)
+    if n < 0x80:
+        return bytes((tag, n)) + body
+    length = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    return bytes((tag, 0x80 | len(length))) + length + body
+
+
+def _der_integer(value: int) -> bytes:
+    """DER ``INTEGER`` of a non-negative ``value`` (a leading zero
+    byte keeps a set top bit from reading as a sign)."""
+    return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
+
+
 @dataclass(frozen=True)
 class DHGroup(Group):
     """A multiplicative group mod a safe prime, with a fixed generator.
@@ -176,6 +201,10 @@ class DHGroup(Group):
     ``pow`` path as fallback and cross-check.  The comb can be disabled
     or re-tuned without touching the frozen value identity via
     :meth:`with_comb` — clones compare and hash equal to the original.
+    With the comb enabled, :meth:`exp_many` runs the variable-base
+    products on OpenSSL (see :meth:`_openssl_algorithm` for the gate);
+    :meth:`exp` stays on ``pow``, the reference they are checked
+    against.
     """
 
     prime: int
@@ -195,11 +224,17 @@ class DHGroup(Group):
         object.__setattr__(self, "_comb_enabled", True)
         object.__setattr__(self, "_comb_window", None)
         object.__setattr__(self, "_exponent_bits", None)
+        # DER AlgorithmIdentifier of (p, g) for OpenSSL's keys, or
+        # False where p is not a safe prime; built on first use
+        # (:meth:`_openssl_algorithm`).
+        object.__setattr__(self, "_algorithm", None)
 
     def _configured_clone(self, **overrides) -> "DHGroup":
         """Value-equal clone carrying this group's policy overrides."""
         clone = DHGroup(self.prime, self.generator, self.name)
-        for key in ("_comb_enabled", "_comb_window", "_exponent_bits"):
+        for key in (
+            "_comb_enabled", "_comb_window", "_exponent_bits", "_algorithm"
+        ):
             object.__setattr__(
                 clone, key, overrides.get(key, getattr(self, key))
             )
@@ -272,22 +307,6 @@ class DHGroup(Group):
                     combs[width] = table
         return table
 
-    def comb_for(self, base: int) -> FixedBaseComb:
-        """An *uncached* comb for an arbitrary in-group base.
-
-        Sized to this group's secret-exponent policy, so wider
-        exponents take the ``pow`` fallback.  Only profitable when
-        ``base`` meets many exponents (table build costs ``entries``
-        multiplications), as a peer's OT announce does with one round's
-        receiver keys.
-        """
-        return FixedBaseComb(
-            base,
-            self.prime,
-            max_exponent_bits=self._exponent_bits,
-            window=ELEMENT_COMB_WINDOW,
-        )
-
     def random_exponent(self, rng) -> int:
         """Uniform secret exponent in [1, prime - 2].
 
@@ -321,18 +340,117 @@ class DHGroup(Group):
         """``element ** exponent mod prime`` (variable base)."""
         return pow(element, exponent, self.prime)
 
+    def _openssl_algorithm(self) -> Optional[bytes]:
+        """The DER ``(p, g)`` AlgorithmIdentifier OpenSSL's keys carry,
+        or ``None`` when this group's products stay on ``pow``.
+
+        The gate: the comb is enabled (so ``with_comb(False)`` remains
+        the pure-``pow`` reference), ``p`` has OpenSSL's minimum 512
+        bits, and ``q = (p - 1) / 2`` is prime.  In a safe-prime group
+        every base in ``[2, p - 2]`` has order ``q`` or ``2q``, so an
+        exponent in ``[1, p - 2]`` other than ``q`` never yields a
+        product of ±1, which OpenSSL would reject.  The shipped groups'
+        primes are known safe (their tests check it), which spares each
+        process the ~45 ms primality test of the 512-bit ``q``; any
+        other group runs it once, and its clones share the verdict.
+        """
+        if not self._comb_enabled or self.bits < _OPENSSL_DH_MIN_BITS:
+            return None
+        algorithm = self._algorithm
+        if algorithm is None:
+            if self.prime in _SHIPPED_SAFE_PRIMES or is_probable_prime(
+                self.prime >> 1
+            ):
+                algorithm = _der(0x30, _DH_KEY_AGREEMENT_OID + _der(
+                    0x30,
+                    _der_integer(self.prime) + _der_integer(self.generator),
+                ))
+            else:
+                algorithm = False
+            object.__setattr__(self, "_algorithm", algorithm)
+        return algorithm or None
+
+    def ladder_key(self, exponent: int):
+        """OpenSSL's DH private key for ``exponent``, or ``None``
+        outside the gate (:meth:`_openssl_algorithm`; the exponent in
+        ``[1, p - 2]`` and not ``(p - 1) / 2``).
+
+        Loaded from PKCS #8 DER: building a key from
+        ``DHPrivateNumbers`` re-checks the parameters, ~11 ms a call,
+        while the DER load costs ~0.07 ms, most of it the public key
+        OpenSSL derives.  Material that will meet a peer's base later
+        builds its key when it is made, off the request path.
+        """
+        algorithm = self._openssl_algorithm()
+        if (
+            algorithm is None
+            or not 0 < exponent < self.prime - 1
+            or exponent == self.prime >> 1
+        ):
+            return None
+        # Imported here, so processes that only use small test groups
+        # never load OpenSSL.
+        from cryptography.hazmat.primitives.serialization import (
+            load_der_private_key,
+        )
+
+        der = _der(0x30, b"\x02\x01\x00" + algorithm + _der(
+            0x04, _der_integer(exponent)
+        ))
+        try:
+            return load_der_private_key(der, None)
+        except ValueError:
+            return None
+
+    def _public_key(self, base: int, algorithm: bytes):
+        """OpenSSL's DH public key for ``base`` in ``[2, p - 2]`` (a
+        SubjectPublicKeyInfo DER load, ~10 µs), else ``None``."""
+        from cryptography.hazmat.primitives.serialization import (
+            load_der_public_key,
+        )
+
+        if not 1 < base < self.prime - 1:
+            return None
+        try:
+            return load_der_public_key(_der(0x30, algorithm + _der(
+                0x03, b"\x00" + _der_integer(base)
+            )))
+        except ValueError:
+            return None
+
     def _exp_many(self, bases, exponents, powers, keys):
-        """One ``pow`` per product, except that one base meeting many
-        exponents (the OT receiver's keys) runs through a per-call
-        :meth:`comb_for` table.  The generator powers and ladder keys
-        are not needed."""
-        if len(bases) == 1:
-            if len(exponents) > 1 and self._comb_enabled:
-                power = self.comb_for(bases[0]).power
-                return [power(e) for e in exponents]
-            return [pow(bases[0], e, self.prime) for e in exponents]
-        exponent = exponents[0]
-        return [pow(b, exponent, self.prime) for b in bases]
+        """Each product as the shared secret of a DH exchange between
+        its exponent's :meth:`ladder_key` (``keys[j]``, or built here)
+        and its base loaded as a public key, on OpenSSL's Montgomery
+        modexp.  A product the gate keeps off OpenSSL, or one OpenSSL
+        rejects, runs on ``pow``.  The generator powers are not
+        needed."""
+        p = self.prime
+        algorithm = self._openssl_algorithm()
+        if algorithm is None:
+            if len(bases) == 1:
+                return [pow(bases[0], e, p) for e in exponents]
+            return [pow(b, exponents[0], p) for b in bases]
+        keys = [
+            key if key is not None else self.ladder_key(e)
+            for e, key in zip(exponents, keys or [None] * len(exponents))
+        ]
+        public_keys = [self._public_key(b, algorithm) for b in bases]
+        out = []
+        for i in range(max(len(bases), len(exponents))):
+            b = 0 if len(bases) == 1 else i
+            j = 0 if len(exponents) == 1 else i
+            key, public_key = keys[j], public_keys[b]
+            if key is not None and public_key is not None:
+                try:
+                    out.append(
+                        int.from_bytes(key.exchange(public_key), "big")
+                    )
+                    continue
+                except ValueError:
+                    pass
+            out.append(pow(bases[b], exponents[j], p))
+        return out
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.prime
@@ -422,18 +540,25 @@ _WAVEKEY_512_HEX = (
 
 #: Fixed 512-bit safe-prime group (generator 4, a quadratic residue),
 #: produced by :func:`generate_dh_group` with seed 20240707.  This is the
-#: *simulation default*: it keeps the ~100 batched OT modexps of one key
-#: establishment in the paper's sub-second compute budget on commodity
-#: Python.  Production deployments should pass an RFC 3526 group (or an
+#: *simulation default*: it keeps the OT modexps of one key
+#: establishment well inside the paper's sub-second compute budget.
+#: Production deployments should pass an RFC 3526 group (or an
 #: elliptic-curve OT) to the protocol instead.
 #:
 #: Fast-path policy: secret exponents are drawn at 256 bits (RFC 7919
 #: s5.2 short-exponent DH).  A 512-bit MODP modulus offers well under
 #: 128 bits of index-calculus security, so 256-bit exponents (128-bit
-#: Pollard-lambda resistance) are never the weak link, and every
-#: variable-base ``pow`` on the OT hot path halves in cost.  Recover
-#: the paper-literal reference behaviour with
+#: Pollard-lambda resistance) are never the weak link, and every comb
+#: power and ``pow`` fallback halves in cost (OpenSSL's variable-base
+#: products barely notice).  Recover the paper-literal reference
+#: behaviour, all ``pow`` and full-width exponents, with
 #: ``WAVEKEY_GROUP_512.with_exponent_bits(None).with_comb(False)``.
 WAVEKEY_GROUP_512 = DHGroup(
     prime=int(_WAVEKEY_512_HEX, 16), generator=4, name="wavekey-512"
 ).with_exponent_bits(256)
+
+#: Primes of the shipped groups, whose ``(p - 1) / 2`` is known prime.
+_SHIPPED_SAFE_PRIMES = frozenset(
+    g.prime
+    for g in (RFC3526_GROUP_1536, RFC3526_GROUP_2048, WAVEKEY_GROUP_512)
+)

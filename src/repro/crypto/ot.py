@@ -26,11 +26,12 @@ Fast paths, each with the reference arithmetic kept beside it:
 * Each role computes its ``l_s`` variable-base products in one
   :meth:`~repro.crypto.group.Group.exp_many` call: the sender's
   ``R_i^y`` (knowing ``g^y = S``), the receiver's ``S^{x_i}`` (knowing
-  each ``g^{x_i}``).  MODP runs one ``pow`` per product, and the
-  receiver's powers of the one base ``S`` through a per-round
-  fixed-base table; Curve25519 runs the x-only work on OpenSSL's X25519
-  ladder and recovers each exact Edwards point from the known
-  generator power (:func:`~repro.crypto.curve.ladder_products`).
+  each ``g^{x_i}``).  Both groups run them on OpenSSL: MODP as DH
+  exchanges whose shared secret is the exact product
+  (:meth:`~repro.crypto.numbers.DHGroup.exp_many`, ``pow`` off its
+  gate), Curve25519 as x-only work on the X25519 ladder with each exact
+  Edwards point recovered from the known generator power
+  (:func:`~repro.crypto.curve.ladder_products`).
 * The sender's second key is one multiplication by the precomputed
   ``S^{-y} = g^{-y^2}`` (:func:`~repro.crypto.pool.sender_k1_factor`)
   instead of a division and an exponentiation.
@@ -70,12 +71,16 @@ class OTCiphertexts:
 
 
 def instance_key(
-    group: Group, index: int, announce: bytes, response: bytes, element
+    group: Group, index: int, announce: bytes, response: bytes,
+    element: bytes,
 ) -> bytes:
     """``H(i, S, R_i, element)``: the key of OT instance ``index``.
 
-    Every field is length-prefixed, and the group id separates the
-    domains of the two groups, so no two distinct inputs hash alike.
+    ``element`` is the product's :meth:`~Group.encode_element` bytes,
+    which the callers encode a round at a time
+    (:meth:`~Group.encode_elements`).  Every field is length-prefixed,
+    and the group id separates the domains of the two groups, so no two
+    distinct inputs hash alike.
     """
     h = hashlib.sha256(b"wavekey-ot-co15|")
     h.update(group.name.encode("ascii"))
@@ -83,7 +88,7 @@ def instance_key(
         index.to_bytes(4, "big"),
         announce,
         response,
-        group.encode_element(element),
+        element,
     ):
         h.update(len(part).to_bytes(4, "big"))
         h.update(part)
@@ -154,15 +159,19 @@ class OTSenderRound:
             k1_elements = group.exp_many(
                 [group.div(r, s) for r in rs], [y], [s]
             )
+        # Encoded a batch at a time: the curve's k1 products are
+        # projective, and one batch shares their inversions.
+        k0_encoded = group.encode_elements(k0_elements)
+        k1_encoded = group.encode_elements(k1_elements)
         out = []
         for i, (response, (secret0, secret1)) in enumerate(
             zip(responses, secret_pairs)
         ):
             k0 = instance_key(
-                group, i, self._announce, response, k0_elements[i]
+                group, i, self._announce, response, k0_encoded[i]
             )
             k1 = instance_key(
-                group, i, self._announce, response, k1_elements[i]
+                group, i, self._announce, response, k1_encoded[i]
             )
             out.append(OTCiphertexts(
                 e0=xor_cipher(secret0, k0, b"ot0"),
@@ -243,9 +252,9 @@ class OTReceiverRound:
                 f"{len(ciphertexts)}"
             )
         group = self.group
-        elements = group.exp_many(
+        elements = group.encode_elements(group.exp_many(
             [self._s], self._exponents, self._powers, self._keys
-        )
+        ))
         out = []
         for i, (element, choice, response, pair) in enumerate(zip(
             elements, self._choices, self._responses, ciphertexts

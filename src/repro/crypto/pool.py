@@ -13,12 +13,15 @@ consumed exactly once.
   ``k1_factor = S^{-y} = g^{-y^2}`` lets the sender derive every second
   OT key with one group multiplication instead of a division plus a
   full exponentiation (``(R / S)^y = R^y * S^{-y}``);
-* :class:`ReceiverMaterial` — ``(x, g^x)``, one per instance.
+* :class:`ReceiverMaterial` — ``(x, g^x)``, one per instance, with the
+  encoding of ``g^x`` and ``x``'s ladder key (an OpenSSL private key,
+  DH for MODP and X25519 for the curve, ~0.05–0.1 ms to load).
 
 A background refill thread tops stocks up to their high watermark
 whenever a take drains them below the low watermark, so the request
 path performs only the per-peer work: the sender's variable-base
-``R_i^y`` and the receiver's ``S^{x_i}``, both through
+``R_i^y`` (its one ladder key built inline) and the receiver's
+``S^{x_i}``, both through
 :meth:`~repro.crypto.group.Group.exp_many`.  An empty stock
 is never an error: takes simply return fewer tuples than asked and the
 caller computes the remainder inline (counted as ``crypto.pool.miss``)

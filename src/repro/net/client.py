@@ -270,10 +270,12 @@ class WaveKeyNetClient:
             if pair not in self._endpoints:
                 self._endpoints.append(pair)
         # Each round's OT material is prepared while the client waits
-        # for its grant; building the group's fixed-base table here
-        # keeps that one-time cost out of the first gesture window.
+        # for its grant; building the group's fixed-base table and
+        # loading OpenSSL for its ladder keys here keeps those one-time
+        # costs out of the first gesture window.
         if self.config.group.comb_enabled:
             self.config.group.power(1)
+            self.config.group.ladder_key(1)
         # The key-seed length stocks are prepared for: the last grant's.
         self._seed_bits = _FIRST_SEED_BITS
 

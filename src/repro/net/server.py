@@ -199,14 +199,6 @@ class _NetAgreement:
         conn = self.conn
         tracer = resolve_tracer(None)
         mismatch = seed_m.hamming_distance(seed_r)
-        party = AgreementParty(
-            self.server_name,
-            seed_r,
-            config,
-            rng=child_rng(rng, "party"),
-            own_sequences_first=False,
-            pool=self.pool,
-        )
 
         def fail(reason: str) -> KeyAgreementOutcome:
             with contextlib.suppress(TransportError):
@@ -231,6 +223,17 @@ class _NetAgreement:
                 with tracer.span("net.seed_grant"):
                     with clock.measure():
                         conn.send(SeedGrant(self.attempt, seed_m))
+                # Built once the grant is out, outside the clock, so the
+                # grant does not wait for its 72 sequence draws; they
+                # come from the same streams either way.
+                party = AgreementParty(
+                    self.server_name,
+                    seed_r,
+                    config,
+                    rng=child_rng(rng, "party"),
+                    own_sequences_first=False,
+                    pool=self.pool,
+                )
 
                 # M_A both ways; arrival deadline-checked (SIV-D.2).
                 # clock.measure() wall-clocks the socket wait, so real

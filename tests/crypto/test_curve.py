@@ -490,8 +490,10 @@ class TestLadderProducts:
 
 
 def test_modp_processes_never_import_cryptography():
-    """Only curve products load OpenSSL: the CLI plus one MODP
-    establishment leave ``cryptography`` out of ``sys.modules``."""
+    """Only products OpenSSL can serve load it: the CLI plus one
+    establishment over a small test group leave ``cryptography`` out of
+    ``sys.modules``; then one curve product, or (in a second process)
+    one 512-bit MODP product, loads it."""
     script = (
         "import sys\n"
         "import numpy as np\n"
@@ -505,18 +507,27 @@ def test_modp_processes_never_import_cryptography():
         "    group=generate_dh_group(96, rng=99))\n"
         "assert run_key_agreement(seed, seed, config, rng=1).success\n"
         "print('cryptography' in sys.modules)\n"
-        "from repro.crypto.curve import CURVE25519_GROUP as G\n"
-        "G.exp_many([G.power(8)], [1 << 254], [G.power(1 << 254)])\n"
+        "if sys.argv[1] == 'curve':\n"
+        "    from repro.crypto.curve import CURVE25519_GROUP as G\n"
+        "    e = 1 << 254\n"
+        "else:\n"
+        "    from repro.crypto import WAVEKEY_GROUP_512 as G\n"
+        "    e = 3\n"
+        "G.exp_many([G.power(8)], [e], [G.power(e)])\n"
         "print('cryptography' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    lines = []
+    for product in ("curve", "modp512"):
+        result = subprocess.run(
+            [sys.executable, "-c", script, product],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        lines += result.stdout.split()
+    assert lines[:2] == ["False", "True"]
+    assert lines[2:] == ["False", "True"]
 
 
 class TestX25519LowOrder:

@@ -125,18 +125,20 @@ class TestFixedBaseComb:
     def test_comb_for_arbitrary_base(self):
         g = generate_dh_group(96, rng=23)
         base = g.power(12345)
-        comb = g.comb_for(base)
+        comb = FixedBaseComb(base, g.prime, max_exponent_bits=g.exponent_bits)
         e = g.random_exponent(9)
         assert comb.power(e) == pow(base, e, g.prime)
 
     @pytest.mark.parametrize("bits", [None, 256])
     def test_comb_for_sized_to_the_exponent_policy(self, bits):
-        """The per-round table covers the policy's exponents; 256-bit
+        """A table sized to the policy's exponents covers them; 256-bit
         and full-width exponents both match ``pow``, in range or on the
         fallback."""
         g = WAVEKEY_GROUP_512.with_exponent_bits(bits)
         base = g.power(0xC0FFEE)
-        comb = g.comb_for(base)
+        comb = FixedBaseComb(
+            base, g.prime, max_exponent_bits=g.exponent_bits, window=4
+        )
         assert comb.digits * comb.window >= (bits or g.bits)
         for e in (
             g.random_exponent(10),

@@ -58,9 +58,9 @@ class TestSingleInstance:
             responses, [(b"secret-0", b"secret-1")]
         )
         s = group.decode_element(announce)
+        element = pow(s, receiver._exponents[0], group.prime)
         key = instance_key(
-            group, 0, announce, responses[0],
-            pow(s, receiver._exponents[0], group.prime),
+            group, 0, announce, responses[0], group.encode_element(element)
         )
         other_cipher = ciphertexts.e0 if choice else ciphertexts.e1
         other_ctx = b"ot0" if choice else b"ot1"
@@ -174,7 +174,7 @@ def _receiver_key(group, receiver, announce, responses, i, j):
     s = group.decode_element(announce)
     return instance_key(
         group, i, announce, responses[j],
-        group.exp(s, receiver._exponents[j]),
+        group.encode_element(group.exp(s, receiver._exponents[j])),
     )
 
 
