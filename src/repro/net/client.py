@@ -45,7 +45,6 @@ from typing import List, Optional, Tuple
 from repro.access.channel import ClientAccessChannel, new_nonce
 from repro.access.records import derive_resume_secret, revocation_tag
 from repro.crypto.group import Group
-from repro.crypto.hashes import hmac_digest
 from repro.crypto.numbers import WAVEKEY_GROUP_512
 from repro.errors import (
     AccessError,
@@ -64,7 +63,6 @@ from repro.net.codec import (
     DEFAULT_MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     Accept,
-    ConfirmAck,
     ErrorFrame,
     Hello,
     ResumeAccept,
@@ -75,20 +73,19 @@ from repro.net.codec import (
     TicketGrant,
     Verdict,
 )
-from repro.net.connection import FrameConnection, connect
+from repro.net.connection import (
+    FrameConnection,
+    RoundAborted,
+    connect,
+    run_round,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer, current_context, resolve_tracer
 from repro.protocol.agreement import (
     AgreementParty,
     KeyAgreementConfig,
     RoundStock,
-)
-from repro.protocol.messages import (
-    ConfirmationResponse,
-    OTAnnounce,
-    OTCiphertextBatch,
-    OTResponse,
-    require_sender,
+    mobile_round,
 )
 from repro.utils.bits import BitSequence
 from repro.utils.rng import child_rng
@@ -229,14 +226,6 @@ class EstablishmentResult:
     rounds: List[RoundResult] = field(default_factory=list)
     endpoint: str = ""         # address that served the final attempt
     ticket: Optional[ClientTicket] = None  # resumption credential
-
-
-class _RoundAborted(Exception):
-    """Server ended the round early (carries its RoundResult)."""
-
-    def __init__(self, result: RoundResult):
-        super().__init__(result.reason)
-        self.result = result
 
 
 class _ConnectFailed(Exception):
@@ -658,22 +647,6 @@ class WaveKeyNetClient:
                 return
             stock.prepare_receivers(min(_PREPARE_CHUNK, missing))
 
-    def _expect(self, conn: FrameConnection, message_type, peer: str):
-        message = conn.recv()
-        if isinstance(message, RoundResult):
-            raise _RoundAborted(message)
-        if isinstance(message, ErrorFrame):
-            raise ProtocolError(
-                f"peer error {message.code}: {message.detail}"
-            )
-        if not isinstance(message, message_type):
-            raise ProtocolError(
-                f"expected {message_type.__name__}, got "
-                f"{type(message).__name__}"
-            )
-        require_sender(message, peer)
-        return message
-
     def _run_round(
         self,
         conn: FrameConnection,
@@ -686,7 +659,8 @@ class WaveKeyNetClient:
     ) -> Optional[BitSequence]:
         """Play the mobile side of one round on the attempt's ``stock``;
         returns the session key when this round's confirmation verified,
-        else None."""
+        else None.  The client has no protocol clock: only the server
+        knows when the gesture started, and it checks the deadline."""
         party = AgreementParty(
             self.config.name,
             grant.seed,
@@ -694,44 +668,18 @@ class WaveKeyNetClient:
             own_sequences_first=True,
             stock=stock,
         )
-        peer = accept.sender
         with tracer.span("net.round", attempt=grant.attempt) as span:
             try:
-                with tracer.span("net.ot.announce"):
-                    conn.send(party.craft_announce())
-                    announce_s = self._expect(conn, OTAnnounce, peer)
-                with tracer.span("net.ot.respond"):
-                    conn.send(party.craft_response(announce_s))
-                    response_s = self._expect(conn, OTResponse, peer)
-                with tracer.span("net.ot.ciphertexts"):
-                    conn.send(party.craft_ciphertexts(response_s))
-                    cipher_s = self._expect(conn, OTCiphertextBatch, peer)
-                with tracer.span("net.ot.assemble"):
-                    party.receive_ciphertexts(cipher_s)
-                    party.build_preliminary_key()
-                with tracer.span("net.reconcile"):
-                    challenge = party.craft_challenge()
-                    conn.send(challenge)
-                    confirmation = self._expect(
-                        conn, ConfirmationResponse, peer
-                    )
-                    party.verify_confirmation(confirmation)
-                    conn.send(ConfirmAck(
-                        ok=True,
-                        tag=hmac_digest(
-                            party.final_key.to_bytes(),
-                            challenge.nonce + b"ack",
-                        ),
-                    ))
-            except _RoundAborted as exc:
+                run_round(
+                    mobile_round(party, accept.sender), conn, tracer=tracer
+                )
+            except RoundAborted as exc:
                 rounds.append(exc.result)
                 span.set_attribute("aborted", exc.result.reason)
                 return None
             except KeyAgreementFailure as exc:
-                # Report the failed verification so the server's round
-                # (and its retry policy) resolves promptly.
+                # The round has told the server with ConfirmAck(ok=False).
                 span.set_attribute("failure", str(exc))
-                conn.send(ConfirmAck(ok=False, tag=b""))
                 return None
             span.set_attribute("confirmed", True)
         return party.session_key()

@@ -49,6 +49,7 @@ from repro.crypto.ot import OTCiphertexts
 from repro.errors import DecodeError, FrameTooLarge, ProtocolError
 from repro.obs.tracing import TraceContext
 from repro.protocol.messages import (
+    ConfirmAck,
     ConfirmationResponse,
     OTAnnounce,
     OTCiphertextBatch,
@@ -160,19 +161,6 @@ class SeedGrant:
 
     attempt: int
     seed: BitSequence
-
-
-@dataclass(frozen=True)
-class ConfirmAck:
-    """Client -> server: mutual confirmation closing one round.
-
-    ``tag`` is ``HMAC(final_key, nonce || b"ack")`` — proof to the
-    server that the mobile reconstructed the same key; ``ok=False``
-    (empty tag) reports a client-side verification failure.
-    """
-
-    ok: bool
-    tag: bytes
 
 
 @dataclass(frozen=True)

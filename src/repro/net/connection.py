@@ -15,11 +15,14 @@ series under ``"server"`` — the wire-level half of the observability
 story.  :class:`OutboundBuffer` is the non-blocking write side of the
 event-loop front ends: a producer writes each frame through it on its
 own thread, and only a remainder the kernel would not take waits for
-the loop's writability event.
+the loop's writability event.  :func:`run_round` drives one side of a
+key-agreement round over a connection, or over anything with its
+``send``/``recv`` pair.
 """
 
 from __future__ import annotations
 
+import contextlib
 import select
 import socket
 import time
@@ -28,18 +31,23 @@ from typing import Optional, Tuple
 from repro.errors import (
     ConnectionClosed,
     ConnectionTimeout,
+    ProtocolError,
     TransportError,
 )
 from repro.net.codec import (
     DEFAULT_MAX_FRAME_BYTES,
     HEADER_BYTES,
+    ErrorFrame,
     Frame,
+    RoundResult,
     decode_payload,
     encode_message,
     frame_to_bytes,
     read_frame,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import resolve_tracer
+from repro.protocol.agreement import Send, Stage, charged
 
 import threading
 
@@ -323,3 +331,49 @@ class OutboundBuffer:
         del self._buf[:]
         self._offset = 0
         return True
+
+
+# -- one key-agreement round over a connection ------------------------------
+
+
+class RoundAborted(ProtocolError):
+    """A :class:`RoundResult` (the server ending the round early) came
+    where a round frame was expected; ``result`` carries it."""
+
+    def __init__(self, expected: type, result: RoundResult):
+        super().__init__(f"expected {expected.__name__}, got RoundResult")
+        self.result = result
+
+
+def run_round(steps, conn, clock=None, tracer=None) -> None:
+    """Drive a role's steps (``mobile_round`` or ``server_round`` of
+    :mod:`repro.protocol.agreement`) over ``conn``'s ``send``/``recv``,
+    one ``net.<stage>`` span per top-level stage.  With a ``clock``,
+    every role segment, send and wait is charged to it; a wait is
+    charged before the role resumes, so its deadline check counts it."""
+    tracer = resolve_tracer(tracer)
+    reply = None
+    with contextlib.ExitStack() as stage:
+        while True:
+            try:
+                with charged(clock):
+                    step = steps.send(reply)
+            except StopIteration:
+                return
+            reply = None
+            if isinstance(step, Stage):
+                if not step.nested:
+                    stage.close()
+                    stage.enter_context(tracer.span(f"net.{step.name}"))
+            elif isinstance(step, Send):
+                with charged(clock):
+                    conn.send(step.message)
+            else:
+                with charged(clock):
+                    reply = conn.recv()
+                if isinstance(reply, ErrorFrame):
+                    raise ProtocolError(
+                        f"peer error {reply.code}: {reply.detail}"
+                    )
+                if isinstance(reply, RoundResult):
+                    raise RoundAborted(step.cls, reply)

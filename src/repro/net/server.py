@@ -19,7 +19,7 @@ The data path:
   get a one-shot reply before the connection closes;
 * **compute offload** — decoded protocol messages are queued to the
   session's worker channel; the access server's worker runs the
-  :class:`_NetAgreement` exchange, blocking on the in-memory channel
+  server's round steps, blocking on the in-memory channel
   instead of the socket, and its sends write each encoded frame
   straight through the connection's bounded :class:`OutboundBuffer`
   to the socket on the worker thread, so no frame waits for the loop
@@ -66,16 +66,12 @@ from typing import Optional, Tuple
 from repro.access.channel import ServerAccessChannel, default_op_handler
 from repro.access.records import derive_resume_secret, verify_revocation_tag
 from repro.access.store import KeyStore
-from repro.crypto.hashes import hmac_verify
 from repro.crypto.numbers import WAVEKEY_GROUP_512
 from repro.errors import (
     AccessError,
     ConnectionClosed,
     ConnectionTimeout,
-    DeadlineExceeded,
     GroupMismatch,
-    KeyAgreementFailure,
-    ProtocolError,
     RecordRejected,
     ServiceError,
     TicketError,
@@ -87,7 +83,6 @@ from repro.net.codec import (
     HEADER_BYTES,
     PROTOCOL_VERSION,
     Accept,
-    ConfirmAck,
     ErrorFrame,
     FrameAssembler,
     Hello,
@@ -114,17 +109,17 @@ from repro.net.connection import (
     SEND_OVERFLOW,
     SEND_PENDING,
     OutboundBuffer,
+    run_round,
 )
 from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
 from repro.obs.metrics import byte_buckets
 from repro.obs.tracing import parent_from_context, resolve_tracer
-from repro.protocol.agreement import AgreementParty, KeyAgreementOutcome
-from repro.protocol.messages import (
-    OTAnnounce,
-    OTCiphertextBatch,
-    OTResponse,
-    ReconciliationChallenge,
-    require_sender,
+from repro.protocol.agreement import (
+    ROUND_FAILURES,
+    AgreementParty,
+    KeyAgreementOutcome,
+    round_outcome,
+    server_round,
 )
 from repro.service.server import WaveKeyAccessServer
 from repro.service.sessions import AccessRequest, SessionState
@@ -134,20 +129,11 @@ _UNSET = object()
 
 
 class _NetAgreement:
-    """Server half of the Fig. 4 exchange over one client connection.
-
-    Instances are per-connection and passed as the session's
-    ``agreement_fn``; the access server calls them once per attempt
-    with the freshly encoded seeds.  Each call runs one wire round:
-    seed grant, the three OT messages in both directions, the
-    reconciliation challenge, the HMAC confirmation, and the mutual
-    confirmation ack.  The server crafts its M_B and M_E as soon as
-    the client frame they answer is in, before waiting for the client's
-    frame of the same phase, so both parties craft side by side while
-    the wire order stays strictly alternating.  ``conn`` is the
-    connection's :class:`_WorkerChannel`, which bridges the worker to
-    the event loop behind a blocking ``send``/``recv`` pair.
-    """
+    """The session's ``agreement_fn`` on one client connection: each
+    attempt grants the seed, runs the server's round steps
+    (:func:`repro.protocol.agreement.server_round`) over ``conn``, the
+    connection's :class:`_WorkerChannel`, and reports the round to the
+    client in a :class:`RoundResult`."""
 
     #: Network waits must not serialize other sessions' compute: the
     #: access server skips its compute lock for this agreement_fn and
@@ -161,37 +147,6 @@ class _NetAgreement:
         self.pool = pool
         self.attempt = 0
 
-    def _expect(self, message_type):
-        message = self.conn.recv()
-        if isinstance(message, ErrorFrame):
-            raise ProtocolError(
-                f"peer error {message.code}: {message.detail}"
-            )
-        if not isinstance(message, message_type):
-            raise ProtocolError(
-                f"expected {message_type.__name__}, got "
-                f"{type(message).__name__}"
-            )
-        if hasattr(message, "sender"):
-            require_sender(message, self.peer)
-        return message
-
-    def _craft_then_expect(self, craft, message_type):
-        """Craft the server's next frame, then take the client's frame
-        of the same phase; returns both.
-
-        Crafting before the wait overlaps it with the client's own
-        crafting.  A craft error (a bad element in the client's
-        previous frame) is raised only once the client's frame is
-        consumed, so a failed round leaves no stale frame behind.
-        """
-        try:
-            mine = craft()
-        except ProtocolError:
-            self._expect(message_type)
-            raise
-        return mine, self._expect(message_type)
-
     def __call__(
         self, seed_m, seed_r, config, transport=None, clock=None, rng=None
     ) -> KeyAgreementOutcome:
@@ -199,19 +154,6 @@ class _NetAgreement:
         conn = self.conn
         tracer = resolve_tracer(None)
         mismatch = seed_m.hamming_distance(seed_r)
-
-        def fail(reason: str) -> KeyAgreementOutcome:
-            with contextlib.suppress(TransportError):
-                conn.send(RoundResult(success=False, reason=reason))
-            return KeyAgreementOutcome(
-                success=False,
-                mobile_key=None,
-                server_key=None,
-                elapsed_s=clock.now,
-                failure_reason=reason,
-                seed_mismatch_bits=mismatch,
-            )
-
         with tracer.span(
             "net.agreement",
             attempt=self.attempt,
@@ -234,95 +176,25 @@ class _NetAgreement:
                     own_sequences_first=False,
                     pool=self.pool,
                 )
-
-                # M_A both ways; arrival deadline-checked (SIV-D.2).
-                # clock.measure() wall-clocks the socket wait, so real
-                # network latency counts against the tau budget.
-                with tracer.span("net.ot.announce"):
-                    with clock.measure():
-                        announce_c = self._expect(OTAnnounce)
-                    clock.check_deadline(
-                        config.announce_deadline_s, f"M_A ({self.peer})"
-                    )
-                    with clock.measure():
-                        conn.send(party.craft_announce())
-
-                # M_B both ways: the server's M_B is crafted from the
-                # client's M_A while the client crafts its own, and
-                # sent once the client's M_B is in, so the frames keep
-                # strict alternation on the wire.
-                with tracer.span("net.ot.respond"):
-                    with clock.measure():
-                        response_s, response_c = self._craft_then_expect(
-                            lambda: party.craft_response(announce_c),
-                            OTResponse,
-                        )
-                        conn.send(response_s)
-
-                # M_E both ways, overlapped the same way.
-                with tracer.span("net.ot.ciphertexts"):
-                    with clock.measure():
-                        cipher_s, cipher_c = self._craft_then_expect(
-                            lambda: party.craft_ciphertexts(response_c),
-                            OTCiphertextBatch,
-                        )
-                        conn.send(cipher_s)
-
-                with tracer.span("net.ot.assemble"):
-                    with clock.measure():
-                        party.receive_ciphertexts(cipher_c)
-                        party.build_preliminary_key()
-
-                # Reconciliation + mutual confirmation.
-                with tracer.span("net.reconcile"):
-                    with clock.measure():
-                        challenge = self._expect(ReconciliationChallenge)
-                        confirmation = party.answer_challenge(challenge)
-                        conn.send(confirmation)
-                        ack = self._expect(ConfirmAck)
-                        if not ack.ok:
-                            raise KeyAgreementFailure(
-                                "client reported HMAC confirmation failure"
-                            )
-                        if not hmac_verify(
-                            party.final_key.to_bytes(),
-                            challenge.nonce + b"ack",
-                            ack.tag,
-                        ):
-                            raise KeyAgreementFailure(
-                                "confirmation ack HMAC mismatch: peers "
-                                "hold different keys"
-                            )
-            except DeadlineExceeded as exc:
-                return fail(f"deadline: {exc}")
-            except KeyAgreementFailure as exc:
-                return fail(f"agreement: {exc}")
-            except TransportError as exc:
-                return fail(f"transport: {exc}")
-            except ProtocolError as exc:
-                return fail(f"protocol: {exc}")
+                run_round(
+                    server_round(party, self.peer, clock), conn, clock, tracer
+                )
+            except ROUND_FAILURES as exc:
+                outcome = round_outcome(clock, mismatch, exc)
+                with contextlib.suppress(TransportError):
+                    conn.send(RoundResult(
+                        success=False, reason=outcome.failure_reason
+                    ))
+                return outcome
 
         try:
             conn.send(RoundResult(success=True))
         except TransportError as exc:
             # The keys agree but the client never heard it; report the
             # round as failed so server and client views stay consistent.
-            return KeyAgreementOutcome(
-                success=False,
-                mobile_key=None,
-                server_key=None,
-                elapsed_s=clock.now,
-                failure_reason=f"transport: {exc}",
-                seed_mismatch_bits=mismatch,
-            )
+            return round_outcome(clock, mismatch, exc)
         key = party.session_key()
-        return KeyAgreementOutcome(
-            success=True,
-            mobile_key=key,
-            server_key=key,
-            elapsed_s=clock.now,
-            seed_mismatch_bits=mismatch,
-        )
+        return round_outcome(clock, mismatch, keys=(key, key))
 
 
 # -- event-loop front end ------------------------------------------------------
@@ -343,8 +215,7 @@ class _WorkerChannel:
     ``send`` writes the encoded frame through the outbound buffer to the
     socket on the worker's own thread and wakes the loop only when a
     remainder needs ``EVENT_WRITE``.  All failures surface as typed
-    transport errors, which :class:`_NetAgreement` maps onto failed
-    rounds."""
+    transport errors, which end the round as a failed outcome."""
 
     def __init__(self, conn: "_ClientConn"):
         self._conn = conn

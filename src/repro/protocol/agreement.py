@@ -14,14 +14,21 @@ sketch sized so that up to ``ceil(eta * l_s)`` disagreeing seed bits —
 i.e. that many fully corrupted key segments — are always corrected.
 Confirmation is an HMAC over the challenge nonce under the reconciled
 key.
+
+The round is written once per role, :func:`mobile_round` and
+:func:`server_round`, as steps free of I/O; :func:`run_key_agreement`
+runs both in-process, and :mod:`repro.net` runs each over the wire.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hmac
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,12 +52,12 @@ from repro.errors import (
     TransportError,
 )
 from repro.protocol.messages import (
+    ConfirmAck,
     ConfirmationResponse,
     OTAnnounce,
     OTCiphertextBatch,
     OTResponse,
     ReconciliationChallenge,
-    require_sender,
 )
 from repro.obs.tracing import Tracer, resolve_tracer
 from repro.protocol.timing import ProtocolClock
@@ -394,6 +401,260 @@ class KeyAgreementOutcome:
         )
 
 
+# -- the round, once per role ----------------------------------------------
+# A role yields Send, Expect and Stage steps.  What drives it (the in-process
+# run below, repro.net.connection.run_round on the wire) moves the frames,
+# charges time and opens spans; the role does everything else.
+
+
+class Send(NamedTuple):
+    """Role step: send ``message`` to the peer."""
+
+    message: object
+
+
+class Expect(NamedTuple):
+    """Role step: wait for the peer's next frame, which should be a
+    ``cls``; the role is resumed with the frame and checks it."""
+
+    cls: type
+
+
+class Stage(NamedTuple):
+    """Role step: enter protocol stage ``name``; a ``nested`` stage
+    subdivides the current one and is traced in-process only."""
+
+    name: str
+    nested: bool = False
+
+
+def charged(clock: Optional[ProtocolClock]):
+    """The one place a role's time is charged: the wall time of the
+    enclosed segment goes onto ``clock`` (none without a clock)."""
+    return contextlib.nullcontext() if clock is None else clock.measure()
+
+
+def ack_tag(party: AgreementParty, challenge: ReconciliationChallenge) -> bytes:
+    """The mobile's closing HMAC, of the challenge nonce and ``b"ack"``
+    under the final key; the server recomputes it to check the key."""
+    return hmac_digest(party.final_key.to_bytes(), challenge.nonce + b"ack")
+
+
+def _expect(cls, peer: str):
+    """Steps: take the peer's next frame, a ``cls`` from ``peer``.  A
+    frame claiming another sender is rejected (anti-spoofing); the ack
+    names none."""
+    message = yield Expect(cls)
+    if not isinstance(message, cls):
+        raise ProtocolError(
+            f"expected {cls.__name__}, got {type(message).__name__}"
+        )
+    sender = getattr(message, "sender", peer)
+    if sender != peer:
+        raise ProtocolError(
+            f"sender mismatch on {cls.__name__}: expected {peer!r}, "
+            f"got {sender!r}"
+        )
+    return message
+
+
+def _expect_announce(party: AgreementParty, peer: str, clock):
+    """Steps: take the peer's ``M_A``; a role given a clock rejects one
+    that arrived after ``2 + tau`` on it (SIV-D.2)."""
+    announce = yield from _expect(OTAnnounce, peer)
+    if clock is not None:
+        clock.check_deadline(
+            party.config.announce_deadline_s, f"M_A ({peer})"
+        )
+    return announce
+
+
+def mobile_round(party: AgreementParty, peer: str, clock=None):
+    """The mobile's steps of one Fig. 4 round: each OT message goes out
+    before the server's comes in; the mobile initiates reconciliation
+    and closes the round with a :class:`ConfirmAck`."""
+    yield Stage("ot.announce")
+    yield Send(party.craft_announce())
+    announce = yield from _expect_announce(party, peer, clock)
+    yield Stage("ot.respond")
+    yield Send(party.craft_response(announce))
+    response = yield from _expect(OTResponse, peer)
+    yield Stage("ot.ciphertexts")
+    yield Send(party.craft_ciphertexts(response))
+    ciphertexts = yield from _expect(OTCiphertextBatch, peer)
+    yield Stage("ot.assemble")
+    party.receive_ciphertexts(ciphertexts)
+    party.build_preliminary_key()
+    yield Stage("reconcile")
+    yield Stage("reconcile.challenge", nested=True)
+    challenge = party.craft_challenge()
+    yield Send(challenge)
+    yield Stage("reconcile.answer", nested=True)
+    confirmation = yield from _expect(ConfirmationResponse, peer)
+    yield Stage("reconcile.confirm", nested=True)
+    try:
+        party.verify_confirmation(confirmation)
+    except KeyAgreementFailure:
+        # Tell the server, so its round (and retry policy) ends at once.
+        yield Send(ConfirmAck(ok=False, tag=b""))
+        raise
+    yield Send(ConfirmAck(ok=True, tag=ack_tag(party, challenge)))
+
+
+def server_round(party: AgreementParty, peer: str, clock=None):
+    """The server's steps of one Fig. 4 round.  It answers the peer's
+    ``M_A``; it crafts its ``M_B`` and ``M_E`` before it takes the
+    peer's frame of the same phase, so both parties craft side by side,
+    and sends each only after that frame (the strict alternation of
+    Fig. 4).  A craft error is raised once the peer's frame is
+    consumed, so a failed round leaves no stale frame behind.  It
+    answers the challenge and checks the peer's :class:`ConfirmAck`."""
+    yield Stage("ot.announce")
+    announce = yield from _expect_announce(party, peer, clock)
+    yield Send(party.craft_announce())
+    yield Stage("ot.respond")
+    try:
+        response = party.craft_response(announce)
+    except ProtocolError:
+        yield from _expect(OTResponse, peer)
+        raise
+    peer_response = yield from _expect(OTResponse, peer)
+    yield Send(response)
+    yield Stage("ot.ciphertexts")
+    try:
+        ciphertexts = party.craft_ciphertexts(peer_response)
+    except ProtocolError:
+        yield from _expect(OTCiphertextBatch, peer)
+        raise
+    peer_ciphertexts = yield from _expect(OTCiphertextBatch, peer)
+    yield Send(ciphertexts)
+    yield Stage("ot.assemble")
+    party.receive_ciphertexts(peer_ciphertexts)
+    party.build_preliminary_key()
+    yield Stage("reconcile")
+    yield Stage("reconcile.challenge", nested=True)
+    challenge = yield from _expect(ReconciliationChallenge, peer)
+    yield Stage("reconcile.answer", nested=True)
+    yield Send(party.answer_challenge(challenge))
+    yield Stage("reconcile.confirm", nested=True)
+    ack = yield from _expect(ConfirmAck, peer)
+    if not ack.ok:
+        raise KeyAgreementFailure("client reported HMAC confirmation failure")
+    if not hmac.compare_digest(ack_tag(party, challenge), ack.tag):
+        raise KeyAgreementFailure(
+            "confirmation ack HMAC mismatch: peers hold different keys"
+        )
+
+
+#: The exceptions that end a round as a failed outcome, most specific
+#: first, with the prefix of the failure reason each one gives.
+_FAILURE_PREFIXES = (
+    (DeadlineExceeded, "deadline"),
+    (KeyAgreementFailure, "agreement"),
+    (TransportError, "transport"),
+    (ProtocolError, "protocol"),
+)
+ROUND_FAILURES = tuple(cls for cls, _ in _FAILURE_PREFIXES)
+
+
+def round_outcome(
+    clock, mismatch, failure=None, keys=(None, None)
+) -> KeyAgreementOutcome:
+    """The outcome at ``clock.now`` of a round that ``failure`` (one of
+    :data:`ROUND_FAILURES`) ended, or that agreed the ``(mobile,
+    server)`` keys."""
+    reason = None
+    if failure is not None:
+        prefix = next(
+            p for cls, p in _FAILURE_PREFIXES if isinstance(failure, cls)
+        )
+        reason = f"{prefix}: {failure}"
+    return KeyAgreementOutcome(
+        success=failure is None,
+        mobile_key=keys[0],
+        server_key=keys[1],
+        elapsed_s=clock.now,
+        failure_reason=reason,
+        seed_mismatch_bits=mismatch,
+    )
+
+
+class _Role:
+    """One role of an in-process round: its steps, the step it stands
+    at (None once done) and the frames delivered to it."""
+
+    def __init__(self, name: str, steps, clock: ProtocolClock):
+        self.name = name
+        self.steps = steps
+        self.clock = clock
+        self.inbox: deque = deque()
+        self.resume(None)
+
+    def resume(self, value) -> None:
+        with charged(self.clock):
+            try:
+                self.step = self.steps.send(value)
+            except StopIteration:
+                self.step = None
+
+
+def _pump(role: _Role, peer: _Role, stage: Stage, transport) -> bool:
+    """Run ``role`` within ``stage`` (passing its marker if it stands
+    at it) until it waits for the next stage, for a frame not yet
+    delivered, or is done; True if it moved."""
+    moved = False
+    while True:
+        step = role.step
+        if isinstance(step, Send):
+            message = step.message
+            if not isinstance(message, ConfirmAck):  # no Fig. 4 message
+                message = transport.deliver(
+                    role.name, peer.name, message, role.clock
+                )
+            peer.inbox.append(message)
+            role.resume(None)
+        elif isinstance(step, Expect) and role.inbox:
+            role.resume(role.inbox.popleft())
+        elif step == stage:
+            role.resume(None)
+        else:
+            return moved
+        moved = True
+
+
+@contextlib.contextmanager
+def _stage_span(tracer: Tracer, clock: ProtocolClock, name: str):
+    """A stage span that also carries ``protocol_s``, the simulated
+    seconds the stage took: transport latency and the parties' crafting
+    advance the protocol timeline, not the wall clock."""
+    start = clock.now
+    with tracer.span(name) as span:
+        try:
+            yield
+        finally:
+            span.set_attribute("protocol_s", round(clock.now - start, 6))
+
+
+def _run_in_process(mobile: _Role, server: _Role, transport, tracer):
+    """Step both roles, mobile first, a stage at a time: a stage begins
+    once both stand at it, so its span holds both parties' work."""
+    levels = (contextlib.ExitStack(), contextlib.ExitStack())
+    with levels[0], levels[1]:
+        while mobile.step or server.step:
+            stage = mobile.step or server.step
+            depth = 1 if stage.nested else 0
+            for level in reversed(levels[depth:]):
+                level.close()
+            levels[depth].enter_context(
+                _stage_span(tracer, mobile.clock, stage.name)
+            )
+            # ``|``, not ``or``: each round gives both roles a turn.
+            while _pump(mobile, server, stage, transport) | _pump(
+                server, mobile, stage, transport
+            ):
+                pass
+
+
 def run_key_agreement(
     seed_mobile: BitSequence,
     seed_server: BitSequence,
@@ -408,10 +669,12 @@ def run_key_agreement(
 
     The clock starts at the gesture start; data acquisition occupies the
     first ``gesture_window_s`` seconds, after which the exchange begins.
-    Announce messages are deadline-checked at ``2 + tau``.  Any
-    reconciliation or confirmation failure is reported as an unsuccessful
-    outcome rather than an exception — failures are a *measured quantity*
-    in every experiment.
+    Both roles run on that clock, so each checks the other's announce
+    against ``2 + tau``.  The eight Fig. 4 messages cross ``transport``;
+    the mobile's closing ack passes straight to the server.  Any
+    reconciliation or confirmation failure is reported as an
+    unsuccessful outcome rather than an exception — failures are a
+    *measured quantity* in every experiment.
 
     When tracing is active (explicit ``tracer``, a caller span on this
     thread, or a process default) the run emits an ``agreement`` span
@@ -442,125 +705,22 @@ def run_key_agreement(
     )
     mismatch = seed_mobile.hamming_distance(seed_server)
 
-    def fail(reason: str) -> KeyAgreementOutcome:
-        return KeyAgreementOutcome(
-            success=False,
-            mobile_key=None,
-            server_key=None,
-            elapsed_s=clock.now,
-            failure_reason=reason,
-            seed_mismatch_bits=mismatch,
-        )
-
-    def stage(name: str):
-        """Protocol-stage span annotated with the simulated timeline."""
-        return _StageSpan(tracer, clock, name)
-
     with tracer.span(
         "agreement", l_s=len(seed_mobile), seed_mismatch_bits=mismatch
     ) as root:
         try:
-            # Exchange M_A (deadline-checked on arrival, SIV-D.2).
-            with stage("ot.announce"):
-                with clock.measure():
-                    announce_m = mobile.craft_announce()
-                    announce_r = server.craft_announce()
-                # Receivers validate the claimed sender identity on every
-                # delivered message: an interceptor substituting a frame
-                # under its own name is rejected outright (anti-spoofing).
-                announce_m = require_sender(
-                    transport.deliver("mobile", "server", announce_m, clock),
-                    "mobile",
-                )
-                clock.check_deadline(
-                    config.announce_deadline_s, "M_A (mobile)"
-                )
-                announce_r = require_sender(
-                    transport.deliver("server", "mobile", announce_r, clock),
-                    "server",
-                )
-                clock.check_deadline(
-                    config.announce_deadline_s, "M_A (server)"
-                )
-
-            # Exchange M_B.
-            with stage("ot.respond"):
-                with clock.measure():
-                    response_m = mobile.craft_response(announce_r)
-                    response_r = server.craft_response(announce_m)
-                response_m = require_sender(
-                    transport.deliver("mobile", "server", response_m, clock),
-                    "mobile",
-                )
-                response_r = require_sender(
-                    transport.deliver("server", "mobile", response_r, clock),
-                    "server",
-                )
-
-            # Exchange M_E.
-            with stage("ot.ciphertexts"):
-                with clock.measure():
-                    cipher_m = mobile.craft_ciphertexts(response_r)
-                    cipher_r = server.craft_ciphertexts(response_m)
-                cipher_m = require_sender(
-                    transport.deliver("mobile", "server", cipher_m, clock),
-                    "mobile",
-                )
-                cipher_r = require_sender(
-                    transport.deliver("server", "mobile", cipher_r, clock),
-                    "server",
-                )
-
-            with stage("ot.assemble"):
-                with clock.measure():
-                    mobile.receive_ciphertexts(cipher_r)
-                    server.receive_ciphertexts(cipher_m)
-                    mobile.build_preliminary_key()
-                    server.build_preliminary_key()
-
-            # Reconciliation challenge and HMAC confirmation.
-            with stage("reconcile"):
-                with stage("reconcile.challenge"):
-                    with clock.measure():
-                        challenge = mobile.craft_challenge()
-                    challenge = require_sender(
-                        transport.deliver(
-                            "mobile", "server", challenge, clock
-                        ),
-                        "mobile",
-                    )
-                with stage("reconcile.answer"):
-                    with clock.measure():
-                        confirmation = server.answer_challenge(challenge)
-                    confirmation = require_sender(
-                        transport.deliver(
-                            "server", "mobile", confirmation, clock
-                        ),
-                        "server",
-                    )
-                with stage("reconcile.confirm"):
-                    with clock.measure():
-                        mobile.verify_confirmation(confirmation)
-        except DeadlineExceeded as exc:
-            root.set_attribute("failure", f"deadline: {exc}")
-            return fail(f"deadline: {exc}")
-        except KeyAgreementFailure as exc:
-            root.set_attribute("failure", f"agreement: {exc}")
-            return fail(f"agreement: {exc}")
-        except TransportError as exc:
-            root.set_attribute("failure", f"transport: {exc}")
-            return fail(f"transport: {exc}")
-        except ProtocolError as exc:
-            root.set_attribute("failure", f"protocol: {exc}")
-            return fail(f"protocol: {exc}")
+            _run_in_process(
+                _Role("mobile", mobile_round(mobile, "server", clock), clock),
+                _Role("server", server_round(server, "mobile", clock), clock),
+                transport, tracer,
+            )
+        except ROUND_FAILURES as exc:
+            outcome = round_outcome(clock, mismatch, exc)
+            root.set_attribute("failure", outcome.failure_reason)
+            return outcome
         root.set_attribute("protocol_elapsed_s", round(clock.now, 6))
-
-    return KeyAgreementOutcome(
-        success=True,
-        mobile_key=mobile.session_key(),
-        server_key=server.session_key(),
-        elapsed_s=clock.now,
-        seed_mismatch_bits=mismatch,
+    return round_outcome(
+        clock, mismatch, keys=(mobile.session_key(), server.session_key())
     )
 
 
@@ -568,34 +728,3 @@ def run_key_agreement(
 #: understand the ``pool=`` keyword advertise it the same way, so the
 #: server only forwards its pool to functions that can take it.
 run_key_agreement.accepts_ot_pool = True
-
-
-class _StageSpan:
-    """A tracer span that also captures the simulated protocol clock.
-
-    Wall time alone misrepresents the protocol: transport latency and
-    the parties' modelled crafting time advance the *simulated*
-    timeline, not the wall clock.  Each stage span therefore carries a
-    ``protocol_s`` attribute with the simulated seconds the stage
-    consumed.  Exceptions propagate — the caller converts them into a
-    failed outcome — but still mark the span as errored.
-    """
-
-    __slots__ = ("_cm", "_clock", "_span", "_t0")
-
-    def __init__(self, tracer, clock, name):
-        self._cm = tracer.span(name)
-        self._clock = clock
-        self._span = None
-        self._t0 = 0.0
-
-    def __enter__(self):
-        self._t0 = self._clock.now
-        self._span = self._cm.__enter__()
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb):
-        self._span.set_attribute(
-            "protocol_s", round(self._clock.now - self._t0, 6)
-        )
-        return self._cm.__exit__(exc_type, exc, tb)

@@ -5,6 +5,8 @@ messages of one direction travel as single wire messages ``M_A`` (the
 round's one sender element), ``M_B``, ``M_E``, followed by the
 reconciliation challenge and the HMAC confirmation.  ``wire_size_bytes`` gives the
 serialized size, used by the transport to model transmission delay.
+:class:`ConfirmAck`, the mobile's closing acknowledgement, is no Fig. 4
+message and has no such size.
 """
 
 from __future__ import annotations
@@ -15,25 +17,6 @@ from typing import List, Tuple
 from repro.crypto.ot import OTCiphertexts
 from repro.errors import ProtocolError
 from repro.utils.bits import BitSequence
-
-
-def require_sender(message, expected: str):
-    """Anti-spoofing check: assert ``message`` claims the expected sender.
-
-    Every wire message carries a ``sender`` identity; once a session has
-    established who its peer is (the other protocol party, or the client
-    named in the connection handshake), any message claiming a different
-    identity is rejected with :class:`ProtocolError` instead of being
-    processed.  Returns the message so call sites can stay expression
-    shaped: ``msg = require_sender(transport.deliver(...), "mobile")``.
-    """
-    sender = getattr(message, "sender", None)
-    if sender != expected:
-        raise ProtocolError(
-            f"sender mismatch on {type(message).__name__}: expected "
-            f"{expected!r}, got {sender!r}"
-        )
-    return message
 
 
 def _coerce_elements(elements: Tuple) -> Tuple[bytes, ...]:
@@ -139,3 +122,17 @@ class ConfirmationResponse:
 
     def wire_size_bytes(self) -> int:
         return len(self.tag)
+
+
+@dataclass(frozen=True)
+class ConfirmAck:
+    """Mobile -> server: mutual confirmation closing one round.
+
+    ``tag`` is the mobile's HMAC of the challenge nonce under its final
+    key (:func:`repro.protocol.agreement.ack_tag`) — proof to the server
+    that the mobile reconstructed the same key; ``ok=False`` (empty tag)
+    reports a mobile-side verification failure.
+    """
+
+    ok: bool
+    tag: bytes

@@ -75,11 +75,11 @@ def wire(monkeypatch):
     """Every round's M_A, M_B and M_E from the client and from the
     server, as the server received and sent them."""
     log = {"client": [], "server": []}
-    original_expect = net_server._NetAgreement._expect
+    original_recv = net_server._WorkerChannel.recv
 
-    def expect(self, message_type):
-        message = original_expect(self, message_type)
-        if message_type in OT_FRAMES:
+    def recv(self, *args, **kwargs):
+        message = original_recv(self, *args, **kwargs)
+        if isinstance(message, OT_FRAMES):
             log["client"].append(message)
         return message
 
@@ -90,7 +90,7 @@ def wire(monkeypatch):
             log["server"].append(message)
         return original_send(self, message)
 
-    monkeypatch.setattr(net_server._NetAgreement, "_expect", expect)
+    monkeypatch.setattr(net_server._WorkerChannel, "recv", recv)
     monkeypatch.setattr(net_server._WorkerChannel, "send", send)
     return log
 

@@ -1,20 +1,29 @@
 """The server crafts each OT reply while the client crafts its own.
 
-``_NetAgreement`` computes its M_B as soon as the client's M_A is in,
-and its M_E as soon as the client's M_B is in, and only then waits for
-the client's frame of the same phase.  These tests record the server
-party's calls around a real loopback establishment: crafting must come
-before the matching wait, while the frames the server sends keep the
-strictly alternating order of Fig. 4.
+The server's round steps compute its M_B as soon as the client's M_A is
+in, and its M_E as soon as the client's M_B is in, and only then wait
+for the client's frame of the same phase.  These tests record the
+server party's calls around a real loopback establishment: crafting
+must come before the matching frame is taken, while the frames the
+server sends keep the strictly alternating order of Fig. 4.  The
+scripted-channel tests pin the server's verdicts on a round's failure
+paths.
 """
 
 import pytest
 
-from repro.errors import ConnectionTimeout
+from repro.crypto.hashes import hmac_digest
+from repro.errors import ConnectionClosed, ConnectionTimeout
 from repro.net import NetClientConfig, WaveKeyNetClient, WaveKeyTCPServer
 from repro.net import server as net_server
+from repro.net.codec import ConfirmAck, RoundResult
 from repro.protocol.agreement import AgreementParty, KeyAgreementConfig
-from repro.protocol.messages import OTAnnounce, OTResponse
+from repro.protocol.messages import (
+    ConfirmationResponse,
+    OTAnnounce,
+    OTCiphertextBatch,
+    OTResponse,
+)
 from repro.protocol.timing import ProtocolClock
 
 from tests.net.conftest import make_access_server, matched_seed, pin_seeds
@@ -41,7 +50,7 @@ WIRE_ORDER = [
 
 @pytest.fixture
 def server_calls(monkeypatch):
-    """Log of the server party's crafts, waits and sends."""
+    """Log of the server party's crafts, received frames and sends."""
     log = []
 
     def record_craft(method):
@@ -57,11 +66,12 @@ def server_calls(monkeypatch):
     for method in ("craft_announce", "craft_response", "craft_ciphertexts"):
         record_craft(method)
 
-    original_expect = net_server._NetAgreement._expect
+    original_recv = net_server._WorkerChannel.recv
 
-    def expect(self, message_type):
-        log.append(("expect", message_type.__name__))
-        return original_expect(self, message_type)
+    def recv(self, *args, **kwargs):
+        message = original_recv(self, *args, **kwargs)
+        log.append(("expect", type(message).__name__))
+        return message
 
     original_send = net_server._WorkerChannel.send
 
@@ -69,7 +79,7 @@ def server_calls(monkeypatch):
         log.append(("send", type(message).__name__))
         return original_send(self, message)
 
-    monkeypatch.setattr(net_server._NetAgreement, "_expect", expect)
+    monkeypatch.setattr(net_server._WorkerChannel, "recv", recv)
     monkeypatch.setattr(net_server._WorkerChannel, "send", send)
     return log
 
@@ -138,3 +148,128 @@ def test_craft_error_consumes_the_client_frame_first():
     assert "OT announces" in outcome.failure_reason
     assert channel.inbox == []
     assert channel.sent == ["SeedGrant", "OTAnnounce", "RoundResult"]
+
+
+class MobileChannel(ScriptedChannel):
+    """A worker channel played by a real mobile party: each client frame
+    is crafted when the server reads it, from the server frames sent so
+    far; ``ack(party, challenge)`` closes the round."""
+
+    def __init__(self, seed, config, ack, late_s=0.0, clock=None):
+        super().__init__([])
+        self.seen = {}
+        self.late_s = late_s
+        self.clock = clock
+        self.frames = self._frames(
+            AgreementParty("mobile", seed, config, rng=5), ack
+        )
+
+    def _frames(self, party, ack):
+        yield party.craft_announce()
+        yield party.craft_response(self.seen[OTAnnounce])
+        yield party.craft_ciphertexts(self.seen[OTResponse])
+        party.receive_ciphertexts(self.seen[OTCiphertextBatch])
+        party.build_preliminary_key()
+        challenge = party.craft_challenge()
+        yield challenge
+        party.verify_confirmation(self.seen[ConfirmationResponse])
+        yield ack(party, challenge)
+
+    def send(self, message):
+        super().send(message)
+        self.seen[type(message)] = message
+
+    def recv(self, timeout_s=None):
+        message = next(self.frames)
+        if isinstance(message, OTAnnounce) and self.late_s:
+            self.clock.advance(self.late_s)
+        return message
+
+
+def run_server(channel, seed, config, clock=None):
+    clock = clock or ProtocolClock(start_s=config.gesture_window_s)
+    agreement = net_server._NetAgreement(channel, "mobile", "server")
+    return agreement(seed, seed, config, clock=clock, rng=3)
+
+
+ROUND_SENT = [
+    "SeedGrant", "OTAnnounce", "OTResponse", "OTCiphertextBatch",
+    "ConfirmationResponse", "RoundResult",
+]
+
+
+def test_client_reported_confirmation_failure():
+    seed, config = matched_seed(), KeyAgreementConfig()
+    channel = MobileChannel(
+        seed, config, lambda party, challenge: ConfirmAck(ok=False, tag=b"")
+    )
+    outcome = run_server(channel, seed, config)
+    assert not outcome.success
+    assert outcome.failure_reason == (
+        "agreement: client reported HMAC confirmation failure"
+    )
+    assert channel.sent == ROUND_SENT
+
+
+def test_ack_under_the_wrong_key_fails_the_round():
+    seed, config = matched_seed(), KeyAgreementConfig()
+
+    def wrong_key_ack(party, challenge):
+        return ConfirmAck(
+            ok=True, tag=hmac_digest(bytes(32), challenge.nonce + b"ack")
+        )
+
+    channel = MobileChannel(seed, config, wrong_key_ack)
+    outcome = run_server(channel, seed, config)
+    assert not outcome.success
+    assert outcome.failure_reason.startswith(
+        "agreement: confirmation ack HMAC mismatch"
+    )
+    assert channel.sent == ROUND_SENT
+
+
+def true_ack(party, challenge):
+    return ConfirmAck(
+        ok=True,
+        tag=hmac_digest(party.final_key.to_bytes(), challenge.nonce + b"ack"),
+    )
+
+
+def test_lost_success_result_fails_the_round():
+    """The keys agree, but the RoundResult that says so cannot be sent:
+    the round counts as failed on the server too."""
+    seed, config = matched_seed(), KeyAgreementConfig()
+
+    class LosingChannel(MobileChannel):
+        def send(self, message):
+            if isinstance(message, RoundResult) and message.success:
+                raise ConnectionClosed("send failed: connection closed")
+            super().send(message)
+
+    channel = LosingChannel(seed, config, true_ack)
+    outcome = run_server(channel, seed, config)
+    assert not outcome.success
+    assert outcome.failure_reason.startswith("transport:")
+    assert outcome.mobile_key is None and outcome.server_key is None
+    assert channel.sent == ROUND_SENT[:-1]
+
+
+def test_matching_ack_establishes():
+    seed, config = matched_seed(), KeyAgreementConfig()
+    channel = MobileChannel(seed, config, true_ack)
+    outcome = run_server(channel, seed, config)
+    assert outcome.success, outcome.failure_reason
+    assert outcome.keys_match
+    assert channel.sent == ROUND_SENT
+
+
+def test_late_client_announce_breaches_the_deadline():
+    seed, config = matched_seed(), KeyAgreementConfig()
+    clock = ProtocolClock(start_s=config.gesture_window_s)
+    channel = MobileChannel(
+        seed, config, true_ack, late_s=config.tau_s + 0.01, clock=clock
+    )
+    outcome = run_server(channel, seed, config, clock)
+    assert not outcome.success
+    assert outcome.failure_reason.startswith("deadline: M_A (mobile)")
+    assert channel.sent == ["SeedGrant", "RoundResult"]
