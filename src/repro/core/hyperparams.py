@@ -331,8 +331,9 @@ def determine_tau(
     really sends over ``group``, and set ``tau`` with multiplicative
     headroom, mirroring SVI-C.3 (100 ms observed -> tau = 120 ms).
 
-    The group's fixed-base table is built before the first trial, as
-    the client SDK and the pooled server build it before any round.
+    The group's fixed-base path is warmed before the first trial (MODP's
+    table built, the curve's OpenSSL loaded), as the client SDK and the
+    pooled server warm it before any round.
     """
     if seed_length < 2 or n_trials < 1:
         raise ConfigurationError(
@@ -340,8 +341,7 @@ def determine_tau(
         )
     rng = ensure_rng(rng)
     config = KeyAgreementConfig(group=group)
-    if group.comb_enabled:
-        group.power(1)
+    group.power(1)
     times = np.empty(n_trials)
     for trial in range(n_trials):
         party = AgreementParty(

@@ -63,11 +63,18 @@ class Group(ABC):
     @property
     @abstractmethod
     def comb_enabled(self) -> bool:
-        """Whether :meth:`power` routes through a precomputed table."""
+        """Whether :meth:`power` runs on a fast fixed-base path (a
+        precomputed table for MODP, OpenSSL for the curve)."""
 
     @abstractmethod
     def power(self, exponent: int):
         """``g^exponent`` via the fixed-base fast path."""
+
+    def powers_and_keys(self, exponents: Sequence[int]) -> List[tuple]:
+        """``(power(e), ladder_key(e))`` for every exponent: what a
+        receiver tuple precomputes.  A group whose fixed-base power
+        loads the key anyway (the curve) returns that one."""
+        return [(self.power(e), self.ladder_key(e)) for e in exponents]
 
     @abstractmethod
     def power_naive(self, exponent: int):
@@ -84,7 +91,9 @@ class Group(ABC):
         ahead so its cost leaves the request path: an OpenSSL private
         key (X25519 on the curve, DH for MODP).  ``None`` when the
         group has nothing to build for it, and such a product runs on
-        the reference arithmetic."""
+        the reference arithmetic.  Loading a key makes OpenSSL derive
+        its public key ``g^exponent``; the curve reads its fixed-base
+        powers off it, so :meth:`powers_and_keys` loads each key once."""
         return None
 
     def exp_many(

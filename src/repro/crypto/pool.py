@@ -65,7 +65,7 @@ def sender_k1_factor(group: Group, y: int):
     Computed via the *fixed-base* path (the exponent is reduced mod
     :attr:`~repro.crypto.group.Group.exponent_modulus` — ``p - 1`` by
     Fermat for MODP, the subgroup order ``L`` for the curve), so
-    deriving it costs one comb exponentiation — cheap at
+    deriving it costs one fixed-base power — cheap at
     material-creation time, and it converts each of the sender's
     second OT keys from ``inverse + exp`` into a single group
     multiplication on the hot path.
@@ -149,12 +149,14 @@ def make_sender(group: Group, rng) -> SenderMaterial:
 def make_receivers(group: Group, rng, n: int) -> List[ReceiverMaterial]:
     """Draw ``n`` exponents from ``rng`` exactly as an inline respond
     does and build their tuples, with encodings (encoded as one batch)
-    and ladder keys."""
+    and ladder keys (:meth:`~repro.crypto.group.Group.powers_and_keys`:
+    on the curve, the key ``g^x`` was read off)."""
     xs = [group.random_exponent(rng) for _ in range(n)]
-    powers = [group.power(x) for x in xs]
+    pairs = group.powers_and_keys(xs)
+    encodings = group.encode_elements([g_x for g_x, _ in pairs])
     return [
-        ReceiverMaterial(group, x, g_x, encoded, group.ladder_key(x))
-        for x, g_x, encoded in zip(xs, powers, group.encode_elements(powers))
+        ReceiverMaterial(group, x, g_x, encoded, key)
+        for x, (g_x, key), encoded in zip(xs, pairs, encodings)
     ]
 
 

@@ -87,6 +87,18 @@ class GroupMismatch(ProtocolError):
     wire_code = "group"
 
 
+class VersionMismatch(ProtocolError):
+    """Client and server speak different wire protocol versions.
+
+    The server answers a first frame of another version with a
+    ``version`` error frame, and the client raises this instead of
+    retrying; it also raises it for an ``Accept`` of another version.
+    """
+
+    #: Wire error code carried in the ErrorFrame for this rejection.
+    wire_code = "version"
+
+
 class KeyAgreementFailure(ProtocolError):
     """The two parties could not converge on a common key.
 

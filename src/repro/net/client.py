@@ -58,6 +58,7 @@ from repro.errors import (
     TicketRevoked,
     TicketUnknown,
     TransportError,
+    VersionMismatch,
 )
 from repro.net.codec import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -259,12 +260,11 @@ class WaveKeyNetClient:
             if pair not in self._endpoints:
                 self._endpoints.append(pair)
         # Each round's OT material is prepared while the client waits
-        # for its grant; building the group's fixed-base table and
-        # loading OpenSSL for its ladder keys here keeps those one-time
-        # costs out of the first gesture window.
-        if self.config.group.comb_enabled:
-            self.config.group.power(1)
-            self.config.group.ladder_key(1)
+        # for its grant; building MODP's fixed-base table and loading
+        # OpenSSL here keeps those one-time costs out of the first
+        # gesture window.
+        self.config.group.power(1)
+        self.config.group.ladder_key(1)
         # The key-seed length stocks are prepared for: the last grant's.
         self._seed_bits = _FIRST_SEED_BITS
 
@@ -489,7 +489,7 @@ class WaveKeyNetClient:
                     f"expected ACCEPT, got {type(answer).__name__}"
                 )
             if answer.version != PROTOCOL_VERSION:
-                raise ProtocolError(
+                raise VersionMismatch(
                     f"server speaks protocol {answer.version}, client "
                     f"speaks {PROTOCOL_VERSION}"
                 )
@@ -576,10 +576,13 @@ class WaveKeyNetClient:
                 failure_reason=f"{error.code}: {error.detail}",
                 rounds=rounds or [],
             )
-        if error.code == GroupMismatch.wire_code:
-            # Retrying against the same server cannot change its
-            # configured group, so surface the typed error immediately.
-            raise GroupMismatch(error.detail or "server rejected the group")
+        # Retrying against the same server cannot change its configured
+        # group or protocol, so surface the typed error immediately.
+        for typed in (GroupMismatch, VersionMismatch):
+            if error.code == typed.wire_code:
+                raise typed(
+                    error.detail or f"server rejected the {error.code}"
+                )
         raise ProtocolError(f"server error {error.code}: {error.detail}")
 
     def _verdict_result(

@@ -60,8 +60,9 @@ from repro.utils.bits import BitSequence
 
 #: Bump on any incompatible change to frame layout or message payloads.
 #: Version 2: ``M_A`` carries the one batch-form OT element ``S`` of the
-#: round, not one element per instance.
-PROTOCOL_VERSION = 2
+#: round, not one element per instance.  Version 3: curve25519 elements
+#: are affine ``x‖y`` (64 bytes), not RFC 8032 compressed (32 bytes).
+PROTOCOL_VERSION = 3
 
 #: Frame header: u32 body length + u8 frame type.
 _HEADER = struct.Struct("!IB")

@@ -77,6 +77,7 @@ from repro.errors import (
     TicketError,
     TicketUnknown,
     TransportError,
+    VersionMismatch,
 )
 from repro.net.codec import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -624,7 +625,7 @@ class WaveKeyTCPServer:
             )
         elif message.version != PROTOCOL_VERSION:
             reply = ErrorFrame(
-                "version",
+                VersionMismatch.wire_code,
                 f"server speaks protocol {PROTOCOL_VERSION}, "
                 f"client sent {message.version}",
             )

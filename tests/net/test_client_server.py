@@ -5,12 +5,19 @@ between :class:`WaveKeyNetClient` and :class:`WaveKeyTCPServer` over
 127.0.0.1, with pinned encoder seeds so the outcomes are deterministic.
 """
 
+import functools
 import gc
 import socket
 
 import pytest
 
-from repro.errors import ConnectionClosed, ProtocolError, TransportError
+import repro.net.client as client_module
+from repro.errors import (
+    ConnectionClosed,
+    ProtocolError,
+    TransportError,
+    VersionMismatch,
+)
 from repro.net import (
     NetClientConfig,
     WaveKeyNetClient,
@@ -243,6 +250,40 @@ def test_version_1_hello_rejected(tiny_bundle):
                 conn.close()
     assert isinstance(error, ErrorFrame)
     assert error.code == "version"
+
+
+def test_version_2_hello_rejected(tiny_bundle):
+    """A version-2 client sends 32-byte compressed curve elements,
+    which the x‖y decoder rejects: it is turned away at the Hello with
+    the typed version error, before any OT work."""
+    with make_access_server(tiny_bundle) as access:
+        with WaveKeyTCPServer(access, read_timeout_s=5.0) as tcp:
+            host, port = tcp.address
+            conn = connect(host, port, read_timeout_s=5.0)
+            try:
+                conn.send(Hello(
+                    sender="mobile", rng_seed=1, group_id="curve25519",
+                    version=2,
+                ))
+                error = conn.recv()
+            finally:
+                conn.close()
+    assert isinstance(error, ErrorFrame)
+    assert error.code == VersionMismatch.wire_code
+    assert "client sent 2" in error.detail
+
+
+def test_client_sdk_raises_typed_version_error(tiny_bundle, monkeypatch):
+    """The SDK surfaces the server's version rejection as
+    VersionMismatch at once, without retrying."""
+    monkeypatch.setattr(
+        client_module, "Hello", functools.partial(Hello, version=2)
+    )
+    with make_access_server(tiny_bundle) as access:
+        with WaveKeyTCPServer(access, read_timeout_s=5.0) as tcp:
+            client = WaveKeyNetClient(*tcp.address, CLIENT_CFG)
+            with pytest.raises(VersionMismatch, match="client sent 2"):
+                client.establish(rng_seed=1)
 
 
 def test_client_identity_cannot_claim_server_name(tiny_bundle):

@@ -101,14 +101,21 @@ def test_curve_establishment_through_gateway(tiny_bundle):
     assert result.success, result.failure_reason
 
 
-def test_client_builds_the_comb_before_hello(curve_server, monkeypatch):
-    """The client has no pool: its fixed-base table must exist once
-    the client is constructed, not be built on the M_A deadline path."""
+def test_client_warms_the_group_before_hello(curve_server, monkeypatch):
+    """The client has no pool: OpenSSL, which its fixed-base powers and
+    ladder keys run on, must be loaded once the client is constructed,
+    not on the M_A deadline path."""
     _, tcp = curve_server
-    monkeypatch.setattr(CURVE25519_GROUP, "_comb", None)
+    warmed = []
+    for name in ("power", "ladder_key"):
+        method = getattr(CURVE25519_GROUP, name)
+        monkeypatch.setattr(
+            CURVE25519_GROUP, name,
+            lambda n, name=name, method=method: (
+                warmed.append(name) or method(n)
+            ),
+        )
     client = WaveKeyNetClient(*tcp.address, CURVE_CFG)
-    table = CURVE25519_GROUP._comb
-    assert table is not None
+    assert warmed == ["power", "ladder_key"]
     result = client.establish(rng_seed=35)
     assert result.success, result.failure_reason
-    assert CURVE25519_GROUP._comb is table

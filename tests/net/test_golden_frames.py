@@ -66,16 +66,16 @@ UNSAMPLED_TRACE = TraceContext(
 )
 
 # Opaque group elements of realistic sizes: 64-byte MODP integers (the
-# 512-bit simulation group) and 32-byte compressed curve25519 points.
+# 512-bit simulation group) and 64-byte x‖y curve25519 points.
 MODP_ELEMENTS = (
     (1 << 511) + 0x1234567,
     bytes(range(64)),
     7,
 )
 CURVE_ELEMENTS = (
-    bytes(range(32)),
-    bytes(range(100, 132)),
-    bytes(32),
+    bytes(range(64)),
+    bytes(range(100, 164)),
+    bytes(64),
 )
 
 # Bit strings whose length is, and is not, a multiple of 8.
