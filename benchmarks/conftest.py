@@ -24,6 +24,13 @@ from repro.core.pretrained import has_default_bundle, load_default_bundle
 from repro.protocol import KeyAgreementConfig
 
 
+def pin_seeds(server, seed):
+    """Make ``server``'s encoders emit ``seed`` for every window, so
+    each agreement succeeds and a benchmark times the stack around it."""
+    server.pipeline.imu_keyseed = lambda a_matrix: seed
+    server.pipeline.rfid_keyseed = lambda r_matrix: seed
+
+
 def bench_scale() -> int:
     """Trial-count multiplier (env: WAVEKEY_BENCH_SCALE)."""
     return max(1, int(os.environ.get("WAVEKEY_BENCH_SCALE", "1")))

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import bench_scale
+from benchmarks.conftest import bench_scale, pin_seeds
 from repro.analysis import format_table
 from repro.net import NetClientConfig, WaveKeyNetClient, WaveKeyTCPServer
 from repro.service import ServiceConfig, WaveKeyAccessServer
@@ -33,11 +33,6 @@ ESTABLISHMENTS = 2
 #: The issue's acceptance floor; loopback measurements clear it by
 #: two to three orders of magnitude.
 MIN_SPEEDUP = 5.0
-
-
-def _pin_seeds(server, seed):
-    server._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-    server._rf_batcher.batch_fn = lambda items: [seed for _ in items]
 
 
 def _fixed_acquire(request, rng):
@@ -61,7 +56,7 @@ def test_resumption_beats_full_establishment(bundle):
     with WaveKeyAccessServer(
         bundle, ServiceConfig(workers=2), acquire_fn=_fixed_acquire
     ) as server:
-        _pin_seeds(server, seed)
+        pin_seeds(server, seed)
         with WaveKeyTCPServer(server) as tcp:
             client = WaveKeyNetClient(
                 *tcp.address, NetClientConfig(read_timeout_s=30.0)

@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import bench_scale
+from benchmarks.conftest import bench_scale, pin_seeds
 from repro.analysis import format_table
 from repro.cluster import (
     REBALANCE_EVENT,
@@ -94,12 +94,7 @@ def _spawn_backend(bundle):
         acquire_fn=_sleeping_acquire,
     )
     access.start()
-    access._imu_batcher.batch_fn = (
-        lambda items: [_PINNED_SEED for _ in items]
-    )
-    access._rf_batcher.batch_fn = (
-        lambda items: [_PINNED_SEED for _ in items]
-    )
+    pin_seeds(access, _PINNED_SEED)
     tcp = WaveKeyTCPServer(access, "127.0.0.1", 0)
     tcp.start()
     return access, tcp

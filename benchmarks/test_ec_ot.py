@@ -17,8 +17,7 @@ the recorded numbers are a like-for-like latency comparison:
 No speedup threshold is pinned between the groups (the curve is pure
 Python field arithmetic; the MODP path rides C-accelerated ``pow``);
 what is pinned is correctness parity and that the warm pool keeps the
-curve's request-path cost bounded.  ``WAVEKEY_EC_OT_OUT`` names a JSON
-file the measurements are merged into (CI uploads ``BENCH_ec_ot.json``).
+curve's request-path cost bounded.
 
 Scaling: 32 OT instances and 4 e2e sessions per WAVEKEY_BENCH_SCALE
 unit.
@@ -26,8 +25,6 @@ unit.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from benchmarks.conftest import bench_scale
@@ -48,20 +45,6 @@ CONTENDERS = [
 ]
 
 
-def _record(section: str, payload: dict) -> None:
-    """Merge one section of results into WAVEKEY_EC_OT_OUT."""
-    out = os.environ.get("WAVEKEY_EC_OT_OUT")
-    if not out:
-        return
-    results = {}
-    if os.path.exists(out):
-        with open(out, "r", encoding="utf-8") as fh:
-            results = json.load(fh)
-    results[section] = payload
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-
-
 def _best_of(fn, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -78,7 +61,6 @@ def test_batched_ot_latency_by_group():
     expected = [pairs[i][c] for i, c in enumerate(choices)]
 
     rows = []
-    recorded = {}
     for label, group, security_bits in CONTENDERS:
         group.power(1)  # warm the fixed-base path outside the timed region
 
@@ -103,12 +85,6 @@ def test_batched_ot_latency_by_group():
             label, f"{security_bits}",
             f"{1e3 * comb_s / n:.3f}", f"{1e3 * pooled_s / n:.3f}",
         ])
-        recorded[group.name] = {
-            "security_bits": security_bits,
-            "comb_s": comb_s,
-            "pooled_s": pooled_s,
-            "per_ot_pooled_ms": 1e3 * pooled_s / n,
-        }
         assert pooled_s < comb_s, (
             f"{label}: warm pool ({pooled_s:.3f}s) not faster than "
             f"inline comb ({comb_s:.3f}s)"
@@ -120,8 +96,6 @@ def test_batched_ot_latency_by_group():
         rows,
         title=f"batched OT, {n} instances per group",
     ))
-    recorded["instances"] = n
-    _record("batched_ot", recorded)
 
 
 def _serve_sessions(bundle, service_config, agreement_config, seeds):
@@ -147,7 +121,6 @@ def test_e2e_establishment_latency_by_group(bundle):
     seeds = [51_000 + i for i in range(n)]
 
     rows = []
-    recorded = {}
     outcomes = {}
     for label, group, security_bits in CONTENDERS:
         wall_s, records, counters = _serve_sessions(
@@ -165,11 +138,6 @@ def test_e2e_establishment_latency_by_group(bundle):
             label, f"{security_bits}",
             f"{wall_s / n:.2f}", f"{n / wall_s:.2f}",
         ])
-        recorded[group.name] = {
-            "security_bits": security_bits,
-            "wall_s": wall_s,
-            "per_establishment_s": wall_s / n,
-        }
 
     # Same gestures, same encoders: the group changes arithmetic,
     # never outcomes.
@@ -182,8 +150,6 @@ def test_e2e_establishment_latency_by_group(bundle):
         rows,
         title=f"end-to-end establishment, {n} sessions per group",
     ))
-    recorded["sessions"] = n
-    _record("e2e_establishment", recorded)
 
 
 def test_curve_pool_exhaustion_degrades_gracefully(bundle):
@@ -213,8 +179,3 @@ def test_curve_pool_exhaustion_degrades_gracefully(bundle):
         r.failure_reason and "pool" in r.failure_reason.lower()
         for r in starved_records
     )
-    _record("curve_pool_exhaustion", {
-        "sessions": n,
-        "receiver_misses": misses,
-        "outcomes_match_baseline": True,
-    })

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import bench_scale
+from benchmarks.conftest import bench_scale, pin_seeds
 from repro.analysis import format_table
 from repro.net import WaveKeyNetClient, WaveKeyTCPServer, NetClientConfig
 from repro.net.codec import Hello, decode_payload, encode_message, \
@@ -31,11 +31,6 @@ from repro.service import AccessRequest, ServiceConfig, WaveKeyAccessServer
 from repro.utils.bits import BitSequence
 
 SESSIONS = 8
-
-
-def _pin_seeds(server, seed):
-    server._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-    server._rf_batcher.batch_fn = lambda items: [seed for _ in items]
 
 
 def _fixed_acquire(request, rng):
@@ -137,7 +132,7 @@ def test_loopback_overhead_vs_in_process(bundle):
     with WaveKeyAccessServer(
         bundle, service_config, acquire_fn=_fixed_acquire
     ) as server:
-        _pin_seeds(server, seed)
+        pin_seeds(server, seed)
         start = time.perf_counter()
         tickets = [
             server.submit(AccessRequest(rng_seed=1000 + i))
@@ -151,7 +146,7 @@ def test_loopback_overhead_vs_in_process(bundle):
     with WaveKeyAccessServer(
         bundle, service_config, acquire_fn=_fixed_acquire
     ) as server:
-        _pin_seeds(server, seed)
+        pin_seeds(server, seed)
         with WaveKeyTCPServer(server) as tcp:
             client_config = NetClientConfig(read_timeout_s=30.0)
             start = time.perf_counter()

@@ -28,15 +28,11 @@ import time
 
 import numpy as np
 
+from benchmarks.conftest import pin_seeds
 from repro.analysis import format_table
 from repro.net import NetClientConfig, WaveKeyNetClient, WaveKeyTCPServer
 from repro.service import ServiceConfig, WaveKeyAccessServer
 from repro.utils.bits import BitSequence
-
-
-def _pin_seeds(server, seed):
-    server._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-    server._rf_batcher.batch_fn = lambda items: [seed for _ in items]
 
 
 def _fixed_acquire(request, rng):
@@ -77,7 +73,7 @@ def test_idle_connections_scale_at_flat_thread_count(bundle):
     with WaveKeyAccessServer(
         bundle, ServiceConfig(workers=workers), acquire_fn=_fixed_acquire
     ) as server:
-        _pin_seeds(server, seed)
+        pin_seeds(server, seed)
         threads_before_net = threading.active_count()
         # Idle connections must not be reaped mid-benchmark by the
         # hello deadline.

@@ -2,8 +2,8 @@
 
 The observability hooks (span context managers, ``resolve_tracer``,
 labeled-metrics emission, the ``Sequential.profiler`` attribute check)
-sit directly on the service's hottest path — the stacked encoder
-forward inside :meth:`KeySeedPipeline.imu_keyseeds`.  This benchmark
+sit directly on the encoder path; this benchmark measures them on the
+stacked encoder forward inside :meth:`KeySeedPipeline.imu_keyseeds`.  This benchmark
 pins the design contract from ``repro.obs``: with no tracer, no
 metrics registry, and no profiler attached, the instrumented pipeline
 must cost within a few percent of the bare normalize -> forward ->
@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks.conftest import pin_seeds
 from repro.core import KeySeedPipeline
 from repro.datasets.normalization import normalize_imu_matrix
 
@@ -96,11 +97,6 @@ def _fixed_acquire(request, rng):
     return a_matrix, r_matrix
 
 
-def _pin_seeds(server, seed):
-    server._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-    server._rf_batcher.batch_fn = lambda items: [seed for _ in items]
-
-
 def _min_session_s(bundle, n, traced: bool) -> float:
     """Min per-session wall time over ``n`` loopback establishments.
 
@@ -123,7 +119,7 @@ def _min_session_s(bundle, n, traced: bool) -> float:
         acquire_fn=_fixed_acquire,
         tracer=server_tracer,
     ) as server:
-        _pin_seeds(server, seed)
+        pin_seeds(server, seed)
         telemetry = (
             TelemetryBuffer(
                 "backend", tracer=server_tracer, events=server.events

@@ -23,9 +23,7 @@ Three measurements:
   degrade to inline compute (counted misses) with zero failed sessions.
 
 Thresholds relax via ``WAVEKEY_OT_FASTPATH_MIN_SPEEDUP`` /
-``WAVEKEY_OT_FASTPATH_MIN_E2E_GAIN`` so shared CI boxes don't flake;
-``WAVEKEY_OT_FASTPATH_OUT`` names a JSON file the measured numbers are
-merged into (the CI perf-smoke job uploads it as an artifact).
+``WAVEKEY_OT_FASTPATH_MIN_E2E_GAIN`` so shared CI boxes don't flake.
 
 Scaling: 96 OT instances and 6 e2e sessions per WAVEKEY_BENCH_SCALE
 unit.
@@ -33,7 +31,6 @@ unit.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -56,20 +53,6 @@ def _min_speedup() -> float:
 
 def _min_e2e_gain() -> float:
     return float(os.environ.get("WAVEKEY_OT_FASTPATH_MIN_E2E_GAIN", "1.15"))
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section of results into WAVEKEY_OT_FASTPATH_OUT."""
-    out = os.environ.get("WAVEKEY_OT_FASTPATH_OUT")
-    if not out:
-        return
-    results = {}
-    if os.path.exists(out):
-        with open(out, "r", encoding="utf-8") as fh:
-            results = json.load(fh)
-    results[section] = payload
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
 
 
 def _best_of(fn, repeats=3):
@@ -125,15 +108,6 @@ def test_batched_ot_speedup():
         ],
         title=f"batched OT, {n} instances",
     ))
-    _record("batched_ot", {
-        "instances": n,
-        "naive_s": naive_s,
-        "comb_s": comb_s,
-        "pooled_s": pooled_s,
-        "comb_speedup": comb_x,
-        "pooled_speedup": pooled_x,
-        "min_required": _min_speedup(),
-    })
 
     assert pooled_x >= _min_speedup(), (
         f"pooled batched OT is {pooled_x:.2f}x the naive path, below the "
@@ -201,13 +175,6 @@ def test_e2e_establishment_gain(bundle):
         ],
         title=f"end-to-end establishment, {n} sessions",
     ))
-    _record("e2e_establishment", {
-        "sessions": n,
-        "naive_s": naive_s,
-        "fast_s": fast_s,
-        "gain": gain,
-        "min_required": _min_e2e_gain(),
-    })
 
     assert gain >= _min_e2e_gain(), (
         f"fast-path server is {gain:.2f}x the naive server, below the "
@@ -247,8 +214,3 @@ def test_pool_exhaustion_degrades_gracefully(bundle):
         r.failure_reason and "pool" in r.failure_reason.lower()
         for r in starved_records
     )
-    _record("pool_exhaustion", {
-        "sessions": n,
-        "receiver_misses": misses,
-        "outcomes_match_baseline": True,
-    })

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import bench_scale
+from benchmarks.conftest import bench_scale, pin_seeds
 from repro.access.store import KeyStore
 from repro.analysis import format_table
 from repro.core.models import (
@@ -80,12 +80,7 @@ def _spawn_fleet(n, *, replicate, interval_s=INTERVAL_S):
             bundle, ServiceConfig(workers=2), acquire_fn=_fixed_acquire
         )
         access.start()
-        access._imu_batcher.batch_fn = (
-            lambda items: [_PINNED_SEED for _ in items]
-        )
-        access._rf_batcher.batch_fn = (
-            lambda items: [_PINNED_SEED for _ in items]
-        )
+        pin_seeds(access, _PINNED_SEED)
         store = KeyStore(ttl_s=600.0, metrics=access.metrics)
         replicator = (
             Replicator(store, anti_entropy_interval_s=interval_s)

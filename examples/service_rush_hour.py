@@ -3,9 +3,9 @@
 
 The paper's deployment contexts (a line-up service desk, a door reader)
 serve *queues* of users, not one at a time.  This example brings up the
-concurrent :class:`repro.service.WaveKeyAccessServer` — micro-batched
-encoder inference, bounded admission queue, tau-deadline enforcement,
-bounded retries — and throws a burst of sessions at it, twice:
+concurrent :class:`repro.service.WaveKeyAccessServer` — per-session
+encoder inference on each worker, bounded admission queue,
+tau-deadline enforcement, bounded retries — and throws a burst of sessions at it, twice:
 
 1. a comfortable burst the server absorbs completely;
 2. an overload burst against a deliberately tiny admission queue, to
@@ -83,8 +83,6 @@ def main() -> int:
     config = ServiceConfig(
         workers=2,
         queue_capacity=32,
-        max_batch_size=16,
-        max_batch_wait_s=0.005,
         max_attempts=2,
     )
     with WaveKeyAccessServer(bundle, config) as server:
@@ -101,8 +99,6 @@ def main() -> int:
     tight = ServiceConfig(
         workers=1,
         queue_capacity=2,
-        max_batch_size=16,
-        max_batch_wait_s=0.005,
         max_attempts=1,
     )
     with WaveKeyAccessServer(bundle, tight) as server:

@@ -132,10 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
         add_obs_args(p)
         p.add_argument("--workers", type=int, default=2)
         p.add_argument("--queue-capacity", type=int, default=32)
-        p.add_argument("--batch-size", type=int, default=16,
-                       help="micro-batcher max batch size")
-        p.add_argument("--batch-wait-ms", type=float, default=2.0,
-                       help="micro-batcher max wait before launching")
         p.add_argument("--max-attempts", type=int, default=3)
         p.add_argument("--session-deadline", type=float, default=30.0,
                        help="wall-clock budget per session in seconds")
@@ -539,8 +535,6 @@ def _service_config(args):
     return ServiceConfig(
         workers=args.workers,
         queue_capacity=args.queue_capacity,
-        max_batch_size=args.batch_size,
-        max_batch_wait_s=args.batch_wait_ms / 1000.0,
         max_attempts=args.max_attempts,
         session_deadline_s=args.session_deadline,
         ot_pool_depth=args.ot_pool_depth,
@@ -552,8 +546,6 @@ def _print_service_header(config, bundle, out) -> None:
     print("WaveKey access-control server", file=out)
     print(f"  workers          : {config.workers}", file=out)
     print(f"  queue capacity   : {config.queue_capacity}", file=out)
-    print(f"  batch policy     : <= {config.max_batch_size} windows or "
-          f"{config.max_batch_wait_s * 1000:.1f} ms", file=out)
     print(f"  max attempts     : {config.max_attempts}", file=out)
     print(f"  session deadline : {config.session_deadline_s:.1f} s",
           file=out)

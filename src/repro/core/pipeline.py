@@ -28,8 +28,8 @@ class KeySeedPipeline:
     """Inference-time wrapper around a trained model bundle.
 
     Observability is opt-in and inherited: spans go to ``tracer`` when
-    given, else to the caller's active tracer (so the service's batched
-    path traces without plumbing); labeled per-encoder metrics land in
+    given, else to the caller's active tracer (so a server's session
+    spans pick up the encoder calls without plumbing); labeled per-encoder metrics land in
     ``metrics`` when a registry is supplied (the access-control server
     passes its own, giving service and pipeline one shared registry).
     """
@@ -118,8 +118,8 @@ class KeySeedPipeline:
         """``S_M`` for many A matrices through ONE encoder forward pass.
 
         ``a_matrices`` is any sequence/stack of (200, 3) matrices; the
-        service layer's micro-batcher coalesces concurrent requests onto
-        this path.
+        hyperparameter studies score whole datasets through this path
+        (:meth:`batch_seed_pairs`, :meth:`seed_mismatch_rates`).
         """
         tracer = resolve_tracer(self.tracer)
         start = time.monotonic()

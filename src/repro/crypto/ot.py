@@ -38,9 +38,10 @@ Fast paths, each with the reference arithmetic kept beside it:
 * The fixed-base powers ``g^y`` and ``g^{x_i}`` can come ready-made
   from an :class:`~repro.crypto.pool.OTMaterialPool` or a client's
   per-round stock: the sender claims one
-  :class:`~repro.crypto.pool.SenderMaterial` per round, the receiver
-  one :class:`~repro.crypto.pool.ReceiverMaterial` per instance, which
-  also carries the encoding of ``g^{x_i}`` (a choice-0 ``R_i``) and the
+  :class:`~repro.crypto.pool.SenderMaterial` per round, which carries
+  the ladder key its ``R_i^y`` products run on, the receiver one
+  :class:`~repro.crypto.pool.ReceiverMaterial` per instance, which also
+  carries the encoding of ``g^{x_i}`` (a choice-0 ``R_i``) and the
   ladder key its ``S^{x_i}`` runs on.
 """
 
@@ -104,6 +105,7 @@ class OTSenderRound:
         self._y: Optional[int] = None
         self._s = None
         self._k1_factor = None
+        self._key = None
         self._announce: Optional[bytes] = None
 
     def announce(self, material: Optional[SenderMaterial] = None) -> bytes:
@@ -117,6 +119,7 @@ class OTSenderRound:
             material.claim(group)
             self._y, self._s = material.y, material.s
             self._k1_factor = material.k1_factor
+            self._key = material.ladder_key
         else:
             self._y = group.random_exponent(self._rng)
             self._s = group.power(self._y)
@@ -149,7 +152,7 @@ class OTSenderRound:
             if len(secret0) != len(secret1):
                 raise CryptoError("OT secrets must have equal length")
             rs.append(group.decode_element(response))
-        k0_elements = group.exp_many(rs, [y], [s])
+        k0_elements = group.exp_many(rs, [y], [s], [self._key])
         if self._k1_factor is not None:
             # (R / S)^y == R^y * S^{-y}, with S^{-y} precomputed.
             k1_elements = [

@@ -12,16 +12,17 @@ consumed exactly once.
 * :class:`SenderMaterial` — ``(y, S, k1_factor)``, one per round, where
   ``k1_factor = S^{-y} = g^{-y^2}`` lets the sender derive every second
   OT key with one group multiplication instead of a division plus a
-  full exponentiation (``(R / S)^y = R^y * S^{-y}``);
+  full exponentiation (``(R / S)^y = R^y * S^{-y}``), with ``y``'s
+  ladder key;
 * :class:`ReceiverMaterial` — ``(x, g^x)``, one per instance, with the
-  encoding of ``g^x`` and ``x``'s ladder key (an OpenSSL private key,
-  DH for MODP and X25519 for the curve, ~0.05–0.1 ms to load).
+  encoding of ``g^x`` and ``x``'s ladder key.
 
-A background refill thread tops stocks up to their high watermark
-whenever a take drains them below the low watermark, so the request
-path performs only the per-peer work: the sender's variable-base
-``R_i^y`` (its one ladder key built inline) and the receiver's
-``S^{x_i}``, both through
+A ladder key is an OpenSSL private key, DH for MODP and X25519 for the
+curve, ~0.05–0.1 ms to load.  A background refill thread tops stocks up
+to their high watermark whenever a take drains them below the low
+watermark, so the request path performs only the per-peer work: the
+sender's variable-base ``R_i^y`` and the receiver's ``S^{x_i}``, both
+through
 :meth:`~repro.crypto.group.Group.exp_many`.  An empty stock
 is never an error: takes simply return fewer tuples than asked and the
 caller computes the remainder inline (counted as ``crypto.pool.miss``)
@@ -75,15 +76,20 @@ def sender_k1_factor(group: Group, y: int):
 
 class SenderMaterial:
     """One precomputed, single-use sender tuple ``(y, S, k1_factor)``:
-    it keys one OT round."""
+    it keys one OT round.
 
-    __slots__ = ("group", "y", "s", "k1_factor", "_consumed")
+    ``ladder_key`` is ``y``'s :meth:`~repro.crypto.group.Group.ladder_key`
+    for the sender's ``R_i^y``, or ``None`` when not built.
+    """
 
-    def __init__(self, group: Group, y: int, s, k1_factor):
+    __slots__ = ("group", "y", "s", "k1_factor", "ladder_key", "_consumed")
+
+    def __init__(self, group: Group, y: int, s, k1_factor, ladder_key=None):
         self.group = group
         self.y = y
         self.s = s
         self.k1_factor = k1_factor
+        self.ladder_key = ladder_key
         self._consumed = False
 
     def claim(self, group: Group) -> None:
@@ -141,9 +147,11 @@ class ReceiverMaterial:
 
 def make_sender(group: Group, rng) -> SenderMaterial:
     """Draw ``y`` from ``rng`` exactly as an inline announce does and
-    build its tuple."""
+    build its tuple, with ``y``'s ladder key
+    (:meth:`~repro.crypto.group.Group.powers_and_keys`)."""
     y = group.random_exponent(rng)
-    return SenderMaterial(group, y, group.power(y), sender_k1_factor(group, y))
+    [(s, key)] = group.powers_and_keys([y])
+    return SenderMaterial(group, y, s, sender_k1_factor(group, y), key)
 
 
 def make_receivers(group: Group, rng, n: int) -> List[ReceiverMaterial]:

@@ -18,7 +18,7 @@ left simulated:
   :class:`repro.service.WaveKeyAccessServer`: :class:`WaveKeyTCPServer`
   keeps a constant thread count at any connection count and offloads
   protocol compute to the access server's workers; sessions feed
-  through the existing admission queue and micro-batcher, load
+  through the existing admission queue and workers, load
   shedding maps to wire error frames;
 * :mod:`repro.net.client` — a blocking client SDK driving a full
   establishment from the device side, with connect/read timeouts and

@@ -118,7 +118,7 @@ def conv1d_forward(
     w2 = weight.reshape(c_out, c_in * kernel)
     # (O, F) @ (N, F, L) broadcasts to one BLAS gemm per sample; this is
     # several times faster than the equivalent einsum, and the gap widens
-    # with batch size — the property the micro-batching service relies on.
+    # with batch size, which the batched key-seed path relies on.
     out = np.matmul(w2, cols)
     out += bias[None, :, None]
     return out, cols

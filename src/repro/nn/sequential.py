@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.errors import ShapeError
 from repro.nn.layers import Layer, Parameter
 
 
@@ -53,31 +52,6 @@ class Sequential(Layer):
                 start, time.monotonic(),
             )
         return x
-
-    def forward_many(
-        self, inputs: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Inference on many independent single samples as ONE batch.
-
-        Stacks same-shaped per-sample arrays along a new batch axis, runs
-        a single (BLAS-batched) forward pass, and splits the result back
-        into per-sample outputs.  This is the primitive the service
-        layer's micro-batching scheduler coalesces concurrent requests
-        onto; for the WaveKey encoders it is several times faster than
-        the equivalent loop of single-sample forwards.
-        """
-        if len(inputs) == 0:
-            return []
-        arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
-        shape = arrays[0].shape
-        for i, a in enumerate(arrays[1:], start=1):
-            if a.shape != shape:
-                raise ShapeError(
-                    f"{self.name}.forward_many: input {i} has shape "
-                    f"{a.shape}, expected {shape}"
-                )
-        out = self.forward(np.stack(arrays))
-        return [out[i] for i in range(out.shape[0])]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):

@@ -5,7 +5,7 @@ reproduction and to cost (almost) nothing when switched off:
 
 * **tracing** (:mod:`repro.obs.tracing`) — hierarchical spans with a
   thread-local active-span stack, explicit parent handoff for
-  cross-thread work (the service's worker and micro-batcher threads),
+  cross-thread work (the service's worker threads),
   JSONL export, and an ASCII tree renderer;
 * **metrics** (:mod:`repro.obs.metrics`) — labeled counters, gauges and
   histograms in a registry with merge-able snapshots and

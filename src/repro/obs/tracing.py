@@ -6,7 +6,7 @@ and hands out new ones.  Parentage is resolved three ways, in priority
 order:
 
 1. an explicit ``parent=`` span — how the server hands a session's root
-   span across its worker and micro-batcher threads;
+   span from the submitting thread to its worker thread;
 2. the thread-local *active-span stack* — ``with tracer.span(...)``
    pushes the span for the duration of the block, so nested library
    code (pipeline, protocol, per-layer profiler) lands under the caller

@@ -1,12 +1,11 @@
 """Concurrent WaveKey access-control service.
 
 The deployment layer of the reproduction: a server that admits many
-concurrent key-establishment sessions, coalesces their encoder forward
-passes through a micro-batching inference scheduler, enforces the
-paper's tau deadline plus a wall-clock session budget, retries failed
-gestures a bounded number of times, sheds load past queue capacity with
-structured rejections, and exposes counters / latency histograms / a
-queryable event log.
+concurrent key-establishment sessions, encodes each session's window on
+its worker, enforces the paper's tau deadline plus a wall-clock session
+budget, retries failed gestures a bounded number of times, sheds load
+past queue capacity with structured rejections, and exposes counters /
+latency histograms / a queryable event log.
 
 Quick start::
 
@@ -27,7 +26,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.service.batching import BatchFuture, MicroBatcher
 from repro.service.config import ServiceConfig
 from repro.service.loadgen import LoadProfile, LoadReport, run_load
 from repro.service.server import WaveKeyAccessServer
@@ -42,7 +40,6 @@ from repro.service.sessions import (
 
 __all__ = [
     "AccessRequest",
-    "BatchFuture",
     "Counter",
     "EventLog",
     "Gauge",
@@ -50,7 +47,6 @@ __all__ = [
     "LoadProfile",
     "LoadReport",
     "MetricsRegistry",
-    "MicroBatcher",
     "RejectionReason",
     "ServiceConfig",
     "ServiceEvent",

@@ -1,11 +1,9 @@
 """Server tuning knobs.
 
 One frozen dataclass holds every operational parameter of the
-access-control server: worker-pool width, admission-queue depth,
-micro-batching policy (max batch size + max wait latency, the standard
-model-serving trade-off), retry bounds, and the wall-clock session
-deadline.  Protocol-level parameters (key length, eta, the tau deadline)
-stay in :class:`repro.protocol.KeyAgreementConfig` — the service config
+access-control server: worker-pool width, admission-queue depth, retry
+bounds, the wall-clock session deadline, and the warm OT pool.
+Protocol-level parameters (key length, eta, the tau deadline) stay in :class:`repro.protocol.KeyAgreementConfig` — the service config
 only governs *how* sessions are scheduled, never the cryptography.
 """
 
@@ -30,11 +28,6 @@ class ServiceConfig:
         Bound on sessions admitted but not yet picked up by a worker.
         Submissions beyond it are load-shed with a structured
         :class:`RejectionReason` instead of queueing without bound.
-    max_batch_size / max_batch_wait_s:
-        Micro-batching policy: an encoder batch is launched as soon as
-        ``max_batch_size`` windows are pending, or ``max_batch_wait_s``
-        after the first pending window arrived, whichever happens first.
-        ``max_batch_size=1`` degenerates to per-request inference.
     max_attempts:
         Total establishment attempts per session (first try + retries).
         The paper's deployments retry the gesture when agreement fails;
@@ -62,8 +55,6 @@ class ServiceConfig:
 
     workers: int = 2
     queue_capacity: int = 32
-    max_batch_size: int = 16
-    max_batch_wait_s: float = 0.002
     max_attempts: int = 3
     retry_on_timeout: bool = False
     session_deadline_s: float = 30.0
@@ -76,10 +67,6 @@ class ServiceConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.queue_capacity < 1:
             raise ConfigurationError("queue_capacity must be >= 1")
-        if self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if self.max_batch_wait_s < 0:
-            raise ConfigurationError("max_batch_wait_s must be >= 0")
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
         if self.session_deadline_s <= 0:

@@ -4,17 +4,16 @@
 contexts (lineup service, access control) as an actual server: many
 users present gestures concurrently, each admitted session runs the full
 pipeline — gesture acquisition, IMU/RF encoding, bidirectional-OT key
-agreement — and the two encoder forward passes of *all* in-flight
-sessions are coalesced by :class:`repro.service.batching.MicroBatcher`
-into single stacked numpy calls.
+agreement.  Each worker encodes its own session's window inline, as the
+paper's mobile (IMU-En) and reader (RF-En) each encode one window.
 
 Operational behaviour:
 
 * **admission control** — a bounded queue; submissions past capacity are
   load-shed immediately with a structured :class:`RejectionReason`;
 * **tau-deadline enforcement** — each session carries a
-  :class:`ProtocolClock`; time spent waiting on the micro-batcher counts
-  against the paper's ``2 s + tau`` announce deadline, so an overloaded
+  :class:`ProtocolClock`; the slower encoder's compute time counts
+  against the paper's ``2 s + tau`` announce deadline, so a slow
   encoder surfaces as protocol timeouts exactly as it would on a real
   reader;
 * **bounded retries** — failed agreements retry the gesture up to
@@ -48,7 +47,6 @@ from repro.protocol import (
     run_key_agreement,
 )
 from repro.rfid import ChannelGeometry, default_environments, default_tags
-from repro.service.batching import MicroBatcher
 from repro.service.config import ServiceConfig
 from repro.service.sessions import (
     AccessRequest,
@@ -118,22 +116,6 @@ class WaveKeyAccessServer:
 
         self.events = EventLog()
         self.sessions = SessionManager(self.metrics, self.events)
-        self._imu_batcher = MicroBatcher(
-            "imu_en",
-            self.pipeline.imu_keyseeds,
-            max_batch_size=self.config.max_batch_size,
-            max_wait_s=self.config.max_batch_wait_s,
-            metrics=self.metrics,
-            tracer=tracer,
-        )
-        self._rf_batcher = MicroBatcher(
-            "rf_en",
-            self.pipeline.rfid_keyseeds,
-            max_batch_size=self.config.max_batch_size,
-            max_wait_s=self.config.max_batch_wait_s,
-            metrics=self.metrics,
-            tracer=tracer,
-        )
         self._queue: "queue.Queue[Optional[SessionRecord]]" = queue.Queue()
         self._admission_lock = threading.Lock()
         # The OT exchange wall-clocks its big-int crafting into the
@@ -146,8 +128,9 @@ class WaveKeyAccessServer:
         # is host-side work a real device would do on its own silicon,
         # and letting it steal the GIL mid-craft would again bill one
         # session's protocol for another's simulation.  Encoding stays
-        # outside the lock so concurrent windows can coalesce in the
-        # micro-batcher.
+        # outside the lock: one window is about a millisecond of numpy,
+        # whose BLAS calls release the GIL anyway, while taking the lock
+        # would stall it behind another session's whole agreement.
         self._compute_lock = threading.Lock()
         self._pending = 0
         self._workers: List[threading.Thread] = []
@@ -159,9 +142,11 @@ class WaveKeyAccessServer:
         if self._running:
             raise ServiceError("server already started")
         self._running = True
-        self._imu_batcher.start()
-        self._rf_batcher.start()
         if self.ot_pool is not None:
+            # Fill before any session is admitted: run in the background,
+            # the initial 2 x depth tuples hold the GIL beside a fresh
+            # server's first rounds and push their M_A past 2 s + tau.
+            self.ot_pool.fill()
             self.ot_pool.start()
         for i in range(self.config.workers):
             worker = threading.Thread(
@@ -174,7 +159,6 @@ class WaveKeyAccessServer:
             "server_started",
             workers=self.config.workers,
             queue_capacity=self.config.queue_capacity,
-            max_batch_size=self.config.max_batch_size,
         )
         return self
 
@@ -187,8 +171,6 @@ class WaveKeyAccessServer:
         for worker in self._workers:
             worker.join()
         self._workers = []
-        self._imu_batcher.stop()
-        self._rf_batcher.stop()
         if self.ot_pool is not None:
             self.ot_pool.stop()
         self.events.emit("server_stopped")
@@ -368,45 +350,26 @@ class WaveKeyAccessServer:
                 )
                 continue
 
-            encode_start = time.monotonic()
-            budget = self._deadline_left(record)
-            if budget <= 0:
+            if self._deadline_left(record) <= 0:
                 self._time_out(
                     record, "session_deadline", "encode",
                     "wall-clock budget exhausted before encoding",
                 )
                 self._finish_timings(record)
                 return
-            try:
-                with stages.span(
-                    "encode", parent=root, attempt=attempt
-                ) as encode_span:
-                    future_m = self._imu_batcher.submit(a_matrix)
-                    future_r = self._rf_batcher.submit(r_matrix)
-                    seed_m = future_m.result(timeout=budget)
-                    seed_r = future_r.result(timeout=budget)
-                    encode_span.set_attribute(
-                        "batch_size", future_m.batch_size
-                    )
-            except ServiceError as exc:
-                self._time_out(
-                    record, "session_deadline", "encode", str(exc)
-                )
-                self._finish_timings(record)
-                return
+            with stages.span("encode", parent=root, attempt=attempt):
+                encode_start = time.monotonic()
+                seed_m = self.pipeline.imu_keyseed(a_matrix)
+                rf_start = time.monotonic()
+                seed_r = self.pipeline.rfid_keyseed(r_matrix)
+                rf_end = time.monotonic()
             encode_s = time.monotonic() - encode_start
             record.timings["encode_s"] = encode_s
             self.metrics.histogram("service.encode_s").observe(encode_s)
             # The mobile encodes IMU while the reader encodes RF, so the
-            # slower chain gates the announce.  Charge the tau deadline
-            # with the serving-attributable latency (batch queue wait +
-            # batch compute), not raw wall time: wall time also absorbs
-            # GIL contention from other sessions' OT arithmetic, which a
-            # real reader would not experience.
-            encoder_latency = max(
-                future_m.queue_wait_s + future_m.compute_s,
-                future_r.queue_wait_s + future_r.compute_s,
-            )
+            # slower chain gates the announce: tau is charged the slower
+            # call, not the two calls' sum.
+            encoder_latency = max(rf_start - encode_start, rf_end - rf_start)
             record.timings["encoder_latency_s"] = encoder_latency
             self.metrics.histogram("service.encoder_latency_s").observe(
                 encoder_latency
@@ -414,7 +377,7 @@ class WaveKeyAccessServer:
             clock.advance(encoder_latency)
             self.events.emit(
                 "encoded", session_id=record.session_id, attempt=attempt,
-                encode_s=encode_s, batch_size=future_m.batch_size,
+                encode_s=encode_s,
             )
 
             self.sessions.transition(

@@ -1,7 +1,7 @@
 """Per-session state for the access-control server.
 
 A session is one user at the reader: admission, a bounded number of
-establishment attempts (gesture acquisition -> batched encoding -> OT
+establishment attempts (gesture acquisition -> encoding -> OT
 agreement), and a terminal state.  The :class:`SessionManager` owns the
 registry, enforces legal state transitions, and emits every transition
 to the structured event log so tests and operators can reconstruct any
@@ -27,7 +27,7 @@ class SessionState(enum.Enum):
     """Lifecycle of one key-establishment session."""
 
     QUEUED = "queued"          # admitted, waiting for a worker
-    ENCODING = "encoding"      # windows submitted to the micro-batcher
+    ENCODING = "encoding"      # acquiring and encoding the windows
     AGREEING = "agreeing"      # OT + reconciliation in flight
     ESTABLISHED = "established"  # terminal: key agreed
     FAILED = "failed"          # terminal: attempts exhausted

@@ -18,7 +18,7 @@ from repro.net import WaveKeyTCPServer
 from repro.service import ServiceConfig, WaveKeyAccessServer
 from repro.utils.bits import BitSequence
 
-from tests.net.conftest import fixed_acquire
+from tests.net.conftest import fixed_acquire, pin_seeds
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +51,7 @@ class Fleet:
         )
         access.start()
         seed = BitSequence.random(32, np.random.default_rng(7))
-        access._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-        access._rf_batcher.batch_fn = lambda items: [seed for _ in items]
+        pin_seeds(access, seed)
         tcp = WaveKeyTCPServer(access, host, port)
         tcp.start()
         return access, tcp

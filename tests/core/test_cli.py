@@ -114,16 +114,11 @@ class TestServeConfiguration:
     def test_dry_run_reports_batch_policy(self, tiny_asset):
         out = io.StringIO()
         code = cli.main(
-            [
-                "serve", "--dry-run", "--workers", "3",
-                "--batch-size", "8", "--batch-wait-ms", "1.5",
-            ],
-            out=out,
+            ["serve", "--dry-run", "--workers", "3"], out=out
         )
         text = out.getvalue()
         assert code == 0
         assert "workers          : 3" in text
-        assert "<= 8 windows or 1.5 ms" in text
 
     def test_invalid_config_is_a_clean_error(self, tiny_asset):
         out = io.StringIO()

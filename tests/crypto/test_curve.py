@@ -38,7 +38,8 @@ from repro.crypto.curve import (
     scalar_mul_naive,
     x25519,
 )
-from repro.crypto.pool import make_receivers
+from repro.crypto.ot import OTReceiverRound, OTSenderRound
+from repro.crypto.pool import make_receivers, make_sender
 from repro.errors import CryptoError, ProtocolError
 
 #: A square root of -1 (p = 5 mod 8): the x of the order-4 points, and
@@ -413,6 +414,29 @@ class TestFixedBasePower:
                 material.ladder_key.private_bytes_raw()
                 == ladder_key(material.x).private_bytes_raw()
             )
+
+    def test_sender_material_key_is_its_exponents_ladder_key(
+        self, monkeypatch
+    ):
+        """Sender material keeps the key ``S`` was read off, it is
+        exactly ``ladder_key(y)``, and the round's ``R_i^y`` products
+        run on it: encrypt loads no key."""
+        material = make_sender(CURVE25519_GROUP, 11)
+        assert material.s == scalar_mul_naive(BASE_POINT, material.y)
+        assert (
+            material.ladder_key.private_bytes_raw()
+            == ladder_key(material.y).private_bytes_raw()
+        )
+        sender = OTSenderRound(CURVE25519_GROUP)
+        receiver = OTReceiverRound(CURVE25519_GROUP, 12)
+        responses = receiver.respond(sender.announce(material), [0, 1])
+        pairs = [(b"a0", b"a1"), (b"b0", b"b1")]
+        built = []
+        with monkeypatch.context() as patch:
+            patch.setattr(curve_module, "ladder_key", built.append)
+            ciphertexts = sender.encrypt(responses, pairs)
+        assert built == []
+        assert receiver.decrypt(ciphertexts) == [b"a0", b"b1"]
 
     def test_unclamped_exponents_carry_no_key(self):
         out = CURVE25519_GROUP.powers_and_keys([1, L - 1, 1 << 254])

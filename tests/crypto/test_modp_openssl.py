@@ -19,7 +19,7 @@ from repro.crypto import (
     DHGroup,
     generate_dh_group,
 )
-from repro.crypto.pool import make_receivers
+from repro.crypto.pool import make_receivers, make_sender
 
 OPENSSL_GROUPS = pytest.mark.parametrize(
     "group", [WAVEKEY_GROUP_512, RFC3526_GROUP_2048], ids=lambda g: g.name
@@ -150,3 +150,15 @@ def test_make_receivers_builds_keys():
         [s], xs, [m.g_x for m in materials],
         [m.ladder_key for m in materials],
     ) == [pow(s, x, group.prime) for x in xs]
+
+
+def test_make_sender_builds_its_key():
+    """The sender tuple carries ``y``'s key, so its round's ``R_i^y``
+    products load no key on the request path."""
+    group = WAVEKEY_GROUP_512
+    material = make_sender(group, np.random.default_rng(3))
+    assert material.s == pow(group.generator, material.y, group.prime)
+    assert (
+        material.ladder_key.private_numbers().x
+        == group.ladder_key(material.y).private_numbers().x
+    )

@@ -1,7 +1,7 @@
 """Shared fixtures for the networked-stack tests.
 
 A tiny untrained bundle (key quality is irrelevant here) plus injected
-deterministic acquisition, and batcher overrides that pin the encoded
+deterministic acquisition, and encoder overrides that pin the encoded
 seeds — so agreement success/failure over the wire is controlled
 exactly, never Monte-Carlo."""
 
@@ -56,16 +56,12 @@ def make_access_server(bundle, agreement_config=None, **config_kwargs):
 
 
 def pin_seeds(access_server, mobile_seed, server_seed=None):
-    """Force the micro-batchers to emit fixed seeds: identical seeds
+    """Force the server's encoders to emit fixed seeds: identical seeds
     guarantee agreement, seeds differing beyond the ECC radius
     guarantee failure."""
     server_seed = server_seed if server_seed is not None else mobile_seed
-    access_server._imu_batcher.batch_fn = (
-        lambda items: [mobile_seed for _ in items]
-    )
-    access_server._rf_batcher.batch_fn = (
-        lambda items: [server_seed for _ in items]
-    )
+    access_server.pipeline.imu_keyseed = lambda a_matrix: mobile_seed
+    access_server.pipeline.rfid_keyseed = lambda r_matrix: server_seed
 
 
 def matched_seed(bits=32, rng_seed=7):

@@ -171,10 +171,10 @@ def test_retried_attempt_draws_its_own_streams(tiny_bundle, wire):
     far = matched_seed(SEED_BITS, rng_seed=8)
     with make_access_server(tiny_bundle, max_attempts=2) as access:
         server_seeds = iter([far])
-        access._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-        access._rf_batcher.batch_fn = lambda items: [
-            next(server_seeds, seed) for _ in items
-        ]
+        access.pipeline.imu_keyseed = lambda a_matrix: seed
+        access.pipeline.rfid_keyseed = (
+            lambda r_matrix: next(server_seeds, seed)
+        )
         with WaveKeyTCPServer(access, read_timeout_s=5.0) as tcp:
             result = WaveKeyNetClient(
                 *tcp.address, client_config(WAVEKEY_GROUP_512)

@@ -20,7 +20,7 @@ from repro.replica import Replicator
 from repro.service import ServiceConfig, WaveKeyAccessServer
 from repro.utils.bits import BitSequence
 
-from tests.net.conftest import fixed_acquire
+from tests.net.conftest import fixed_acquire, pin_seeds
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +55,7 @@ class ReplicatedFleet:
         )
         access.start()
         seed = BitSequence.random(32, np.random.default_rng(7))
-        access._imu_batcher.batch_fn = lambda items: [seed for _ in items]
-        access._rf_batcher.batch_fn = lambda items: [seed for _ in items]
+        pin_seeds(access, seed)
         store = KeyStore(ttl_s=self.ticket_ttl_s, metrics=access.metrics)
         replicator = Replicator(
             store, anti_entropy_interval_s=self.anti_entropy_interval_s

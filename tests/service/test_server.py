@@ -110,30 +110,49 @@ class TestEstablishment:
         assert counters["service.established"] == 1
         assert server.metrics.histogram("service.total_s").count == 1
 
-    def test_sessions_share_encoder_batches(self, tiny_bundle):
-        gate = threading.Event()
+    def test_served_seeds_are_the_pipelines_seeds(self, tiny_bundle):
+        """The worker encodes inline: the seeds handed to agreement are
+        exactly imu_keyseed / rfid_keyseed of the acquired windows."""
+        seen = {}
 
-        def gated_agreement(*args, **kwargs):
-            gate.wait(10.0)
+        def recording_agreement(seed_m, seed_r, **kwargs):
+            seen["seeds"] = (seed_m, seed_r)
             return ok_outcome(kwargs["clock"])
 
-        config = ServiceConfig(
-            workers=4, max_batch_size=4, max_batch_wait_s=0.05
-        )
         with make_server(
-            tiny_bundle, config, agreement_fn=gated_agreement
+            tiny_bundle, agreement_fn=recording_agreement
         ) as server:
-            tickets = [
-                server.submit(AccessRequest(rng_seed=i)) for i in range(4)
-            ]
-            gate.set()
-            records = [t.result(timeout=30) for t in tickets]
-        assert all(r.success for r in records)
-        counters = server.metrics.snapshot()["counters"]
-        # 4 windows went through fewer than 4 imu batches: coalescing
-        # actually happened (the 50 ms window gathers all four workers).
-        assert counters["imu_en.items"] == 4
-        assert counters["imu_en.batches"] < 4
+            record = server.establish(AccessRequest(rng_seed=9), timeout=30)
+        assert record.success
+        a_matrix, r_matrix = fixed_acquire(record.request, None)
+        seed_m, seed_r = seen["seeds"]
+        assert np.array_equal(
+            seed_m.array, server.pipeline.imu_keyseed(a_matrix).array
+        )
+        assert np.array_equal(
+            seed_r.array, server.pipeline.rfid_keyseed(r_matrix).array
+        )
+
+    def test_tau_is_charged_the_slower_encoder(self, tiny_bundle):
+        """encoder_latency_s is the slower encoder call's time: at least
+        a 5 ms stub's sleep, at most the whole encode stage."""
+        seed = BitSequence.random(32, np.random.default_rng(3))
+
+        def slow_keyseed(matrix):
+            time.sleep(0.005)
+            return seed
+
+        server = make_server(
+            tiny_bundle,
+            ServiceConfig(workers=1),
+            agreement_fn=lambda *a, **kw: ok_outcome(kw["clock"]),
+        )
+        server.pipeline.imu_keyseed = slow_keyseed
+        with server:
+            record = server.establish(AccessRequest(rng_seed=8), timeout=30)
+        assert record.success
+        latency = record.timings["encoder_latency_s"]
+        assert 0.005 <= latency <= record.timings["encode_s"]
 
 
 class TestTauDeadline:
@@ -243,9 +262,7 @@ class TestLoadShedding:
             gate.wait(10.0)
             return ok_outcome(kwargs["clock"])
 
-        config = ServiceConfig(
-            workers=1, queue_capacity=2, max_batch_size=1
-        )
+        config = ServiceConfig(workers=1, queue_capacity=2)
         with make_server(
             tiny_bundle, config, agreement_fn=gated_agreement
         ) as server:
