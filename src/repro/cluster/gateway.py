@@ -4,10 +4,10 @@
 listening socket, *peeks* the first frame to learn the session's
 identity, picks a backend on a :class:`repro.cluster.ring.ShardRing`,
 and then splices frames bidirectionally between client and backend on
-the shared :class:`repro.net.eventloop.EventLoop` — the same
-frame-granular relay machinery the fault-injection proxy uses, so a
-gateway hop costs one decode + one re-encode per frame and no extra
-threads per connection.
+its :class:`repro.net.eventloop.EventLoop` with
+:class:`repro.net.splice.Splice` — the frame relay the fault-injection
+proxy runs too — so a gateway hop costs one decode + one re-encode per
+frame and no extra threads per connection.
 
 Routing policy (bounded-load consistent hashing):
 
@@ -45,7 +45,7 @@ the loop thread; the prober reports its verdicts via
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
 import socket
 import threading
@@ -75,6 +75,7 @@ from repro.net.codec import (
 )
 from repro.net.connection import OutboundBuffer
 from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
+from repro.net.splice import Splice, accept_ready, close_socket, dial, listen
 from repro.obs.collect import TELEMETRY_SCHEMA
 from repro.obs.events import EventLog
 from repro.obs.metrics import (
@@ -90,8 +91,6 @@ from repro.replica.peer import pull_entries, push_entries
 
 #: Event kind emitted on every ring-membership change.
 REBALANCE_EVENT = "cluster.ring.rebalance"
-
-_EINPROGRESS = (0, 115, 36, 10035)  # ok / EINPROGRESS / EWOULDBLOCK variants
 
 
 def _parse_backend(spec: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
@@ -138,31 +137,24 @@ class _GatewaySession:
     """One client connection through the gateway (loop-thread only)."""
 
     __slots__ = (
-        "client_sock", "backend_sock", "backend", "state", "route_key",
-        "access_kind", "hello_bytes", "tried", "c2s_assembler",
-        "s2c_assembler", "to_backend", "to_client", "client_eof",
-        "backend_eof", "closing", "closed", "dial_timer", "session_timer",
-        "routed_at", "counted", "trace_parent", "route_span", "splice_span",
+        "client_sock", "assembler", "outbound", "backend", "route_key",
+        "access_kind", "hello_bytes", "tried", "cancel_dial", "splice",
+        "closed", "session_timer", "routed_at", "counted", "trace_parent",
+        "route_span", "splice_span",
     )
 
     def __init__(self, client_sock, max_frame_bytes: int, max_pending: int):
         self.client_sock = client_sock
-        self.backend_sock = None
+        self.assembler = FrameAssembler(max_frame_bytes)  # -> the splice
+        self.outbound = OutboundBuffer(max_pending)  # one-shot replies
         self.backend: Optional[BackendState] = None
-        self.state = "hello"
         self.route_key = ""
         self.access_kind = ""  # "resume"/"revoke" for ticket sessions
         self.hello_bytes = b""
         self.tried: Set[str] = set()
-        self.c2s_assembler = FrameAssembler(max_frame_bytes)
-        self.s2c_assembler = FrameAssembler(max_frame_bytes)
-        self.to_backend = OutboundBuffer(max_pending)
-        self.to_client = OutboundBuffer(max_pending)
-        self.client_eof = False
-        self.backend_eof = False
-        self.closing = False
+        self.cancel_dial = None  # set while a backend connect is in flight
+        self.splice: Optional[Splice] = None  # once the backend answered
         self.closed = False
-        self.dial_timer = None
         self.session_timer = None
         self.routed_at = 0.0
         self.counted = False  # True once in_flight was incremented
@@ -258,13 +250,8 @@ class WaveKeyGateway:
     def start(self) -> "WaveKeyGateway":
         if self._running:
             return self
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._listen_host, self._listen_port))
-        sock.listen(128)
-        sock.setblocking(False)
-        self._sock = sock
-        self.address = sock.getsockname()[:2]
+        self._sock = listen(self._listen_host, self._listen_port)
+        self.address = self._sock.getsockname()[:2]
         self._running = True
         self.loop = EventLoop(
             name=f"wavekey-gw-{self.name}", metrics=self.metrics
@@ -603,25 +590,14 @@ class WaveKeyGateway:
     # -- accept + hello (loop thread) --------------------------------------
 
     def _on_listener_ready(self, mask: int) -> None:
-        while True:
-            try:
-                client_sock, _ = self._sock.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # listener closed by stop()
-            client_sock.setblocking(False)
-            with contextlib.suppress(OSError):
-                client_sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
+        for client_sock, _ in accept_ready(self._sock):
             session = _GatewaySession(
                 client_sock, self.max_frame_bytes, self.max_outbound_bytes
             )
             self._sessions.add(session)
             self.loop.register(
                 client_sock, EVENT_READ,
-                lambda m, s=session: self._on_client_ready(s, m),
+                lambda m, s=session: self._on_hello_readable(s),
             )
             session.session_timer = self.loop.call_later(
                 self.handshake_timeout_s,
@@ -636,57 +612,24 @@ class WaveKeyGateway:
         ).inc()
         self._close_session(session)
 
-    def _on_client_ready(self, session: _GatewaySession, mask: int) -> None:
+    def _on_hello_readable(self, session: _GatewaySession) -> None:
         if session.closed:
             return
-        if mask & EVENT_WRITE:
-            try:
-                session.to_client.flush(session.client_sock)
-            except OSError:
-                self._close_session(session)
-                return
-            self._update_client_interest(session)
-            self._maybe_finish_close(session)
-            if session.closed:
-                return
-        if mask & EVENT_READ:
-            self._service_client_reads(session)
-
-    def _service_client_reads(self, session: _GatewaySession) -> None:
-        for _ in range(16):
-            if session.closing or session.client_eof:
-                break
-            try:
-                n = session.c2s_assembler.read_into(session.client_sock)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._close_session(session)
-                return
-            if n == 0:
-                session.client_eof = True
-                break
-        if session.state == "hello":
-            self._drain_hello(session)
-        elif session.state == "splice":
-            self._drain_c2s(session)
-        elif session.state == "dial" and session.client_eof:
-            # The client hung up while the backend dial was in flight.
-            self._close_session(session)
-            return
-        if not session.closed:
-            self._update_client_interest(session)
-
-    def _drain_hello(self, session: _GatewaySession) -> None:
         try:
-            frame = session.c2s_assembler.next_frame()
-        except TransportError:
+            n = session.assembler.read_into(session.client_sock)
+            frame = session.assembler.next_frame()
+        except (BlockingIOError, InterruptedError):
+            return
+        except (OSError, TransportError):
             self._close_session(session)
             return
         if frame is None:
-            if session.client_eof:
+            if n == 0:
                 self._close_session(session)
             return
+        # The first frame decides the session; frames pipelined behind
+        # a HELLO wait in the assembler for the splice.
+        self.loop.unregister(session.client_sock)
         try:
             message = decode_payload(frame)
         except TransportError:
@@ -694,26 +637,18 @@ class WaveKeyGateway:
             return
         if isinstance(message, StatsRequest):
             self.metrics.counter("cluster.stats_requests").inc()
-            reply = StatsResponse(
+            self._reply(session, StatsResponse(
                 payload_json=json.dumps(self.fleet_document(), default=str)
-            )
-            self._send_to_client(session, frame_to_bytes(
-                encode_message(reply)
             ))
-            self._finish_after_flush(session)
             return
         if isinstance(message, TelemetryRequest):
             self.metrics.counter("cluster.telemetry_requests").inc()
-            reply = TelemetryResponse(
+            self._reply(session, TelemetryResponse(
                 payload_json=json.dumps(
                     self.telemetry_document(drain=message.drain),
                     default=str,
                 )
-            )
-            self._send_to_client(session, frame_to_bytes(
-                encode_message(reply)
             ))
-            self._finish_after_flush(session)
             return
         if isinstance(message, (ReplDigest, ReplPull, ReplPush)):
             # The gateway is not a replica, but it answers the status
@@ -743,10 +678,9 @@ class WaveKeyGateway:
         elif isinstance(message, Hello):
             session.route_key = f"{message.sender}#{message.rng_seed}"
         else:
-            self._refuse(
-                session, "protocol",
-                f"expected HELLO, got {type(message).__name__}",
-            )
+            self._reply(session, ErrorFrame(
+                "protocol", f"expected HELLO, got {type(message).__name__}"
+            ))
             return
         session.trace_parent = parent_from_context(
             getattr(message, "trace_context", None)
@@ -760,7 +694,6 @@ class WaveKeyGateway:
                 kind=type(message).__name__.lower(),
             )
         session.hello_bytes = frame_to_bytes(frame)
-        session.state = "dial"
         self._start_dial(session)
 
     def _answer_replication(self, session: _GatewaySession, message) -> None:
@@ -785,10 +718,7 @@ class WaveKeyGateway:
                 "the gateway ferries entries itself; send REPL_PULL/"
                 "REPL_PUSH to a backend",
             )
-        self._send_to_client(session, frame_to_bytes(
-            encode_message(reply)
-        ))
-        self._finish_after_flush(session)
+        self._reply(session, reply)
 
     # -- backend dial (loop thread) ----------------------------------------
 
@@ -796,61 +726,30 @@ class WaveKeyGateway:
         backend = self._select_backend(session.route_key, session.tried)
         if backend is None:
             self.metrics.counter("cluster.route.errors").inc()
-            self._refuse(
-                session, "unavailable",
-                "no healthy backend for this session",
-            )
+            self._reply(session, ErrorFrame(
+                "unavailable", "no healthy backend for this session"
+            ))
             return
         if session.tried:
             self.metrics.counter("cluster.route.failover").inc()
         session.tried.add(backend.key)
         session.backend = backend
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setblocking(False)
-        err = sock.connect_ex(backend.address)
-        if err not in _EINPROGRESS:
-            sock.close()
-            self._dial_failed(session, backend, f"errno {err}")
-            return
-        session.backend_sock = sock
-        self.loop.register(
-            sock, EVENT_WRITE,
-            lambda m, s=session: self._on_backend_dialed(s),
-        )
-        session.dial_timer = self.loop.call_later(
-            self.connect_timeout_s,
-            lambda s=session: self._dial_timed_out(s),
+        session.cancel_dial = dial(
+            self.loop, backend.address, self.connect_timeout_s,
+            functools.partial(self._on_backend_dialed, session),
         )
 
-    def _dial_timed_out(self, session: _GatewaySession) -> None:
-        if session.closed or session.state != "dial":
+    def _on_backend_dialed(
+        self, session: _GatewaySession, sock, reason: str
+    ) -> None:
+        session.cancel_dial = None
+        if sock is None:
+            self._note_dial_failure(session.backend, reason)
+            # Try the next ring candidate; _start_dial refuses the
+            # session (counting cluster.route.errors) once every one
+            # was tried.
+            self._start_dial(session)
             return
-        session.dial_timer = None
-        backend = session.backend
-        if session.backend_sock is not None:
-            self.loop.unregister(session.backend_sock)
-            with contextlib.suppress(OSError):
-                session.backend_sock.close()
-            session.backend_sock = None
-        self._dial_failed(session, backend, "connect timeout")
-
-    def _on_backend_dialed(self, session: _GatewaySession) -> None:
-        if session.closed or session.state != "dial":
-            return
-        if session.dial_timer is not None:
-            session.dial_timer.cancel()
-            session.dial_timer = None
-        sock = session.backend_sock
-        err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-        if err != 0:
-            self.loop.unregister(sock)
-            with contextlib.suppress(OSError):
-                sock.close()
-            session.backend_sock = None
-            self._dial_failed(session, session.backend, f"errno {err}")
-            return
-        with contextlib.suppress(OSError):
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         backend = session.backend
         backend.consecutive_failures = 0
         backend.in_flight += 1
@@ -874,7 +773,6 @@ class WaveKeyGateway:
                 parent=session.trace_parent,
                 backend=backend.key,
             )
-        session.state = "splice"
         session.routed_at = time.monotonic()
         if session.session_timer is not None:
             session.session_timer.cancel()
@@ -882,115 +780,31 @@ class WaveKeyGateway:
             self.session_timeout_s,
             lambda s=session: self._session_expired(s, "splice"),
         )
+        session.splice = Splice(
+            self.loop, session.client_sock, sock,
+            on_frame=functools.partial(self._relay_frame, session),
+            on_close=functools.partial(self._on_splice_closed, session),
+            max_frame_bytes=self.max_frame_bytes,
+            assembler=session.assembler,
+            sides=("client", "backend"),
+        )
         # The held HELLO opens the backend conversation, then any
-        # frames the client pipelined behind it follow in order;
-        # _drain_c2s moves the backend socket onto the splice callback.
-        self._send_to_backend(session, session.hello_bytes)
-        session.hello_bytes = b""
-        if session.closed:
-            return
-        self._drain_c2s(session)
-        self._update_client_interest(session)
-
-    def _dial_failed(
-        self, session: _GatewaySession, backend: BackendState, reason: str
-    ) -> None:
-        self._note_dial_failure(backend, reason)
-        if session.closed:
-            return
-        # Try the next ring candidate; _start_dial refuses the session
-        # (counting cluster.route.errors) once every one was tried.
-        self._start_dial(session)
+        # frames the client pipelined behind it follow in order.
+        session.splice.start(session.hello_bytes)
 
     # -- splicing (loop thread) --------------------------------------------
 
-    def _on_backend_ready(self, session: _GatewaySession, mask: int) -> None:
-        if session.closed:
-            return
-        if mask & EVENT_WRITE:
-            try:
-                session.to_backend.flush(session.backend_sock)
-            except OSError:
-                self._splice_broken(session, "backend write")
-                return
-            self._update_backend_interest(session)
-            self._maybe_finish_close(session)
-            if session.closed:
-                return
-        if mask & EVENT_READ:
-            self._service_backend_reads(session)
-
-    def _service_backend_reads(self, session: _GatewaySession) -> None:
-        for _ in range(16):
-            if session.closing or session.backend_eof:
-                break
-            try:
-                n = session.s2c_assembler.read_into(session.backend_sock)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._splice_broken(session, "backend read")
-                return
-            if n == 0:
-                session.backend_eof = True
-                break
-        self._drain_s2c(session)
-
-    def _drain_c2s(self, session: _GatewaySession) -> None:
-        relayed = []
-        while True:
-            try:
-                frame = session.c2s_assembler.next_frame()
-            except TransportError:
-                self._splice_broken(session, "client stream")
-                return
-            if frame is None:
-                break
-            self.metrics.counter(
-                "cluster.frames.relayed", labels={"direction": "c2s"}
-            ).inc()
-            relayed.append(frame_to_bytes(frame))
-        if relayed:
-            self._send_to_backend(session, b"".join(relayed))
-            if session.closed:
-                return
-        if session.client_eof:
-            session.closing = True
-        self._update_backend_interest(session)
-        self._maybe_finish_close(session)
-
-    def _drain_s2c(self, session: _GatewaySession) -> None:
-        relayed = []
-        while True:
-            try:
-                frame = session.s2c_assembler.next_frame()
-            except TransportError:
-                self._splice_broken(session, "backend stream")
-                return
-            if frame is None:
-                break
+    def _relay_frame(self, session: _GatewaySession, direction: str, frame):
+        if direction == "s2c":
             self._observe_s2c_frame(session, frame)
-            self.metrics.counter(
-                "cluster.frames.relayed", labels={"direction": "s2c"}
-            ).inc()
-            relayed.append(frame_to_bytes(frame))
-        if relayed:
-            self._send_to_client(session, b"".join(relayed))
-            if session.closed:
-                return
-        if session.backend_eof:
-            # One session per connection: the backend said everything
-            # it will say; flush what is buffered and close both ways.
-            session.closing = True
-        self._update_client_interest(session)
-        self._update_backend_interest(session)
-        self._maybe_finish_close(session)
+        self.metrics.counter(
+            "cluster.frames.relayed", labels={"direction": direction}
+        ).inc()
+        return (frame,), 0.0
 
     def _observe_s2c_frame(self, session: _GatewaySession, frame) -> None:
         """Steer future placements from this session's verdict frames."""
         backend = session.backend
-        if backend is None:
-            return
         if frame.type == FrameType.VERDICT:
             try:
                 verdict = decode_payload(frame)
@@ -1037,102 +851,38 @@ class WaveKeyGateway:
                     route_key=session.route_key,
                 )
 
-    def _splice_broken(self, session: _GatewaySession, where: str) -> None:
-        self.metrics.counter(
-            "cluster.splice_errors", labels={"where": where}
-        ).inc()
-        self._close_session(session)
-
-    # -- interest management (loop thread) ---------------------------------
-
-    def _update_client_interest(self, session: _GatewaySession) -> None:
-        if session.closed:
-            return
-        events = 0
-        if (
-            session.state in ("hello", "splice")
-            and not session.client_eof
-            and not session.closing
-        ):
-            events |= EVENT_READ
-        if session.to_client.pending > 0:
-            events |= EVENT_WRITE
-        callback = (
-            lambda m, s=session: self._on_client_ready(s, m)
-        )
-        if events:
-            try:
-                self.loop.modify(session.client_sock, events, callback)
-            except KeyError:
-                self.loop.register(session.client_sock, events, callback)
-        else:
-            self.loop.unregister(session.client_sock)
-
-    def _update_backend_interest(self, session: _GatewaySession) -> None:
-        if session.closed or session.backend_sock is None:
-            return
-        if session.state != "splice":
-            return
-        events = 0
-        if not session.backend_eof and not session.closing:
-            events |= EVENT_READ
-        if session.to_backend.pending > 0:
-            events |= EVENT_WRITE
-        callback = (
-            lambda m, s=session: self._on_backend_ready(s, m)
-        )
-        if events:
-            try:
-                self.loop.modify(session.backend_sock, events, callback)
-            except KeyError:
-                self.loop.register(session.backend_sock, events, callback)
-        else:
-            self.loop.unregister(session.backend_sock)
-
-    # -- write-through (loop thread) ---------------------------------------
-    #
-    # Each relayed batch goes to the socket in the tick that decoded it;
-    # only a remainder the kernel would not take leaves EVENT_WRITE
-    # armed by the next _update_*_interest.  Both return with the
-    # session closed when the write failed.
-
-    def _send_to_client(self, session: _GatewaySession, data: bytes) -> None:
-        try:
-            session.to_client.write(session.client_sock, data, force=True)
-        except OSError:
-            self._close_session(session)
-
-    def _send_to_backend(self, session: _GatewaySession, data: bytes) -> None:
-        try:
-            session.to_backend.write(session.backend_sock, data, force=True)
-        except OSError:
-            self._splice_broken(session, "backend write")
-
-    # -- refusal + teardown (loop thread) ----------------------------------
-
-    def _refuse(
-        self, session: _GatewaySession, code: str, detail: str
+    def _on_splice_closed(
+        self, session: _GatewaySession, where: Optional[str]
     ) -> None:
-        frame = encode_message(ErrorFrame(code=code, detail=detail))
-        self._send_to_client(session, frame_to_bytes(frame))
-        self._finish_after_flush(session)
-
-    def _finish_after_flush(self, session: _GatewaySession) -> None:
-        session.closing = True
-        session.state = "closing"
-        self._update_client_interest(session)
-        self._maybe_finish_close(session)
-
-    def _maybe_finish_close(self, session: _GatewaySession) -> None:
-        if not session.closing or session.closed:
-            return
-        if session.to_client.pending > 0:
-            return
-        if session.backend_sock is not None and (
-            session.to_backend.pending > 0
-        ):
-            return
+        # A client read or write failing is the client going away, not
+        # a splice fault.
+        if where not in (None, "client read", "client write"):
+            self.metrics.counter(
+                "cluster.splice_errors", labels={"where": where}
+            ).inc()
         self._close_session(session)
+
+    # -- one-shot replies + teardown (loop thread) -------------------------
+
+    def _reply(self, session: _GatewaySession, message) -> None:
+        """Answer a one-shot request, or refuse the session; the session
+        closes once the reply is flushed."""
+        data = frame_to_bytes(encode_message(message))
+        session.outbound.append(data, force=True)
+        self._flush_reply(session)
+
+    def _flush_reply(self, session: _GatewaySession, mask: int = 0) -> None:
+        try:
+            drained = session.outbound.flush(session.client_sock)
+        except OSError:
+            drained = True
+        if drained:
+            self._close_session(session)
+        elif not mask:  # not yet watching for writability
+            self.loop.register(
+                session.client_sock, EVENT_WRITE,
+                lambda m, s=session: self._flush_reply(s, m),
+            )
 
     def _close_session(self, session: _GatewaySession) -> None:
         if session.closed:
@@ -1146,19 +896,16 @@ class WaveKeyGateway:
         if session.splice_span is not None:
             tracer.finish_span(session.splice_span)
             session.splice_span = None
-        for timer in (session.dial_timer, session.session_timer):
-            if timer is not None:
-                timer.cancel()
-        session.to_client.close()
-        session.to_backend.close()
-        for sock in (session.client_sock, session.backend_sock):
-            if sock is None:
-                continue
-            self.loop.unregister(sock)
-            with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                sock.close()
+        if session.session_timer is not None:
+            session.session_timer.cancel()
+        if session.cancel_dial is not None:
+            session.cancel_dial()
+        if session.splice is not None:
+            session.splice.close()
+        else:
+            session.outbound.close()
+            self.loop.unregister(session.client_sock)
+            close_socket(session.client_sock)
         backend = session.backend
         if backend is not None and session.counted:
             backend.in_flight = max(0, backend.in_flight - 1)

@@ -13,7 +13,9 @@ left simulated:
   non-blocking :class:`OutboundBuffer` the server writes through;
 * :mod:`repro.net.eventloop` — a single-threaded ``selectors`` event
   loop (self-pipe wakeups, timer heap, loop health metrics) shared by
-  the server and proxy front ends;
+  the server, proxy and gateway front ends;
+* :mod:`repro.net.splice` — their listen / accept / dial helpers and
+  the frame relay the proxy and the gateway both run;
 * :mod:`repro.net.server` — the event-loop TCP front end over
   :class:`repro.service.WaveKeyAccessServer`: :class:`WaveKeyTCPServer`
   keeps a constant thread count at any connection count and offloads
@@ -28,8 +30,7 @@ left simulated:
   without re-running the gesture/OT exchange (:mod:`repro.access`);
 * :mod:`repro.net.proxy` — a fault-injection TCP proxy porting the
   simulated adversary hooks (tap, delay, drop, corrupt, reorder) to
-  real connections, so SV-A/SV-C experiments run over loopback — now
-  relaying on the shared event loop.
+  real connections, so SV-A/SV-C experiments run over loopback.
 
 Quick start (loopback)::
 

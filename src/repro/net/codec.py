@@ -712,6 +712,26 @@ def frame_to_bytes(frame: Frame) -> bytes:
     return _HEADER.pack(body_len, int(frame.type)) + frame.payload
 
 
+def _body_length(buf, offset: int, max_frame_bytes: int) -> int:
+    """The header's body length, checked before any body byte is read."""
+    (body_len,) = struct.unpack_from("!I", buf, offset)
+    if body_len < 1:
+        raise DecodeError("frame body length must be >= 1")
+    if body_len - 1 > max_frame_bytes:
+        raise FrameTooLarge(
+            f"incoming frame payload of {body_len - 1} bytes exceeds the "
+            f"{max_frame_bytes}-byte limit"
+        )
+    return body_len
+
+
+def _frame_type(type_byte: int) -> FrameType:
+    try:
+        return FrameType(type_byte)
+    except ValueError:
+        raise DecodeError(f"unknown frame type 0x{type_byte:02x}")
+
+
 def read_frame(
     recv_exactly: Callable[[int], bytes],
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -723,21 +743,9 @@ def read_frame(
     memory; the frame type is validated but the payload is returned
     raw (the proxy tampers with frames without decoding them).
     """
-    header = recv_exactly(4)
-    (body_len,) = struct.unpack("!I", header)
-    if body_len < 1:
-        raise DecodeError("frame body length must be >= 1")
-    if body_len - 1 > max_frame_bytes:
-        raise FrameTooLarge(
-            f"incoming frame payload of {body_len - 1} bytes exceeds the "
-            f"{max_frame_bytes}-byte limit"
-        )
+    body_len = _body_length(recv_exactly(4), 0, max_frame_bytes)
     body = recv_exactly(body_len)
-    try:
-        frame_type = FrameType(body[0])
-    except ValueError:
-        raise DecodeError(f"unknown frame type 0x{body[0]:02x}")
-    return Frame(frame_type, body[1:])
+    return Frame(_frame_type(body[0]), body[1:])
 
 
 class FrameAssembler:
@@ -844,16 +852,10 @@ class FrameAssembler:
         avail = self._end - self._start
         if avail < 4:
             return None
-        (body_len,) = struct.unpack_from("!I", self._buf, self._start)
-        if body_len < 1:
-            self.broken = True
-            raise DecodeError("frame body length must be >= 1")
-        if body_len - 1 > self.max_frame_bytes:
-            self.broken = True
-            raise FrameTooLarge(
-                f"incoming frame payload of {body_len - 1} bytes exceeds "
-                f"the {self.max_frame_bytes}-byte limit"
-            )
+        # A poisoned length prefix loses the stream position for good.
+        self.broken = True
+        body_len = _body_length(self._buf, self._start, self.max_frame_bytes)
+        self.broken = False
         if avail < 4 + body_len:
             return None
         type_byte = self._buf[self._start + 4]
@@ -862,13 +864,10 @@ class FrameAssembler:
                 self._start + 5:self._start + 4 + body_len
             ]
         )
+        # The whole frame is consumed before its type is checked, so an
+        # unknown type leaves the stream aligned.
         self._start += 4 + body_len
-        try:
-            frame_type = FrameType(type_byte)
-        except ValueError:
-            # The whole frame was consumed: the stream stays aligned.
-            raise DecodeError(f"unknown frame type 0x{type_byte:02x}")
-        return Frame(frame_type, payload)
+        return Frame(_frame_type(type_byte), payload)
 
     def drain(self) -> List[Frame]:
         """All currently complete frames (stops at the first partial)."""

@@ -6,10 +6,11 @@ self-pipe lets other threads (protocol workers, ticket completion
 callbacks) schedule work onto the loop, and a timer heap provides
 cancellable deadlines (handshake timeouts, verdict budgets, delayed
 fault injection).  The front ends built on it —
-:class:`repro.net.server.WaveKeyTCPServer` and
-:class:`repro.net.proxy.FaultInjectionProxy` — keep thousands of idle
-connections at a constant thread count, where the former
-thread-per-connection design paid an OS thread per mostly-idle socket.
+:class:`repro.net.server.WaveKeyTCPServer`,
+:class:`repro.net.proxy.FaultInjectionProxy` and
+:class:`repro.cluster.gateway.WaveKeyGateway`, which share the
+listen / accept / dial helpers of :mod:`repro.net.splice` — keep
+thousands of idle connections at a constant thread count.
 
 Threading contract:
 

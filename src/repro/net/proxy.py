@@ -21,31 +21,22 @@ to forward; the helpers below build the common ones.  Directions are
 ``"c2s"`` (client-to-server) and ``"s2c"``.
 
 The proxy runs on one :class:`repro.net.eventloop.EventLoop` thread:
-non-blocking upstream connects, :class:`FrameAssembler` readers, and
-:class:`OutboundBuffer` writers per direction.  A delayed frame
-becomes a loop timer that *pauses reads in that direction* until it is
-released, so delays preserve frame order exactly like the old blocking
-relay thread did — and an EOF never overtakes frames still held by a
-timer or an unflushed outbound buffer.
+each accepted client gets a non-blocking upstream dial and then a
+:class:`repro.net.splice.Splice`, whose per-frame hook runs the taps
+and the interceptor.  A delay pauses its direction until the held
+frames are released, so delays keep frame order.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import socket
 import threading
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.errors import TransportError
-from repro.net.codec import (
-    DEFAULT_MAX_FRAME_BYTES,
-    Frame,
-    FrameAssembler,
-    FrameType,
-    frame_to_bytes,
-)
-from repro.net.connection import SEND_CLOSED, OutboundBuffer
-from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
+from repro.net.codec import DEFAULT_MAX_FRAME_BYTES, Frame, FrameType
+from repro.net.eventloop import EVENT_READ, EventLoop
+from repro.net.splice import Splice, accept_ready, close_socket, dial, listen
 
 #: interceptor signature: (direction, frame) -> (frames_to_forward, delay_s)
 Interceptor = Callable[[str, Frame], Tuple[List[Frame], float]]
@@ -136,57 +127,6 @@ def reorder_once(types: Iterable[FrameType] = None) -> Interceptor:
     return interceptor
 
 
-class _Flow:
-    """One relay direction: frames assembled from ``src``, forwarded
-    into ``dst``'s outbound buffer."""
-
-    __slots__ = (
-        "direction", "src", "dst", "assembler", "outbound", "paused", "eof",
-    )
-
-    def __init__(self, direction, src, dst, max_frame_bytes):
-        self.direction = direction
-        self.src = src
-        self.dst = dst
-        self.assembler = FrameAssembler(max_frame_bytes)
-        # The proxy never sheds — frames already read must be relayed,
-        # so forwards go in with force=True and the bound is nominal.
-        self.outbound = OutboundBuffer()
-        self.paused = False   # a delayed frame holds this direction
-        self.eof = False
-
-
-class _Link:
-    """One proxied client<->server connection pair (loop-thread only)."""
-
-    __slots__ = (
-        "proxy", "client_sock", "server_sock", "flows", "closing",
-        "closed", "pending_timers",
-    )
-
-    def __init__(self, proxy, client_sock, server_sock):
-        self.proxy = proxy
-        self.client_sock = client_sock
-        self.server_sock = server_sock
-        self.flows = {
-            "c2s": _Flow(
-                "c2s", client_sock, server_sock, proxy.max_frame_bytes
-            ),
-            "s2c": _Flow(
-                "s2c", server_sock, client_sock, proxy.max_frame_bytes
-            ),
-        }
-        self.closing = False
-        self.closed = False
-        self.pending_timers = 0
-
-    def flow_reading(self, sock) -> "_Flow":
-        return self.flows["c2s" if sock is self.client_sock else "s2c"]
-
-    def flow_writing(self, sock) -> "_Flow":
-        return self.flows["s2c" if sock is self.client_sock else "c2s"]
-
-
 class FaultInjectionProxy:
     """A frame-granular TCP relay with pluggable fault injection.
 
@@ -211,7 +151,8 @@ class FaultInjectionProxy:
         self._listen_host = listen_host
         self._listen_port = listen_port
         self._sock: Optional[socket.socket] = None
-        self._links: set = set()  # loop-thread only
+        self._dials: dict = {}      # client socket -> cancel its dial
+        self._splices: set = set()  # both loop-thread only
         self._running = False
         self.loop: Optional[EventLoop] = None
         self.address: Optional[Tuple[str, int]] = None
@@ -221,17 +162,13 @@ class FaultInjectionProxy:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "FaultInjectionProxy":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._listen_host, self._listen_port))
-        sock.listen(128)
-        sock.setblocking(False)
-        self._sock = sock
-        self.address = sock.getsockname()[:2]
+        self._sock = listen(self._listen_host, self._listen_port)
+        self.address = self._sock.getsockname()[:2]
         self._running = True
         self.loop = EventLoop(name="wavekey-proxy-loop").start()
         self.loop.call_soon(
-            self.loop.register, sock, EVENT_READ, self._on_listener_ready
+            self.loop.register, self._sock, EVENT_READ,
+            self._on_listener_ready,
         )
         return self
 
@@ -248,8 +185,11 @@ class FaultInjectionProxy:
         try:
             self.loop.unregister(self._sock)
             self._sock.close()
-            for link in list(self._links):
-                self._close_link(link)
+            for client_sock, cancel_dial in list(self._dials.items()):
+                cancel_dial()
+                close_socket(client_sock)
+            for splice in list(self._splices):
+                splice.close()
         finally:
             done.set()
 
@@ -259,205 +199,37 @@ class FaultInjectionProxy:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- accept / upstream dial (loop thread) ------------------------------
-
-    def _on_listener_ready(self, mask: int) -> None:
-        while True:
-            try:
-                client_sock, _ = self._sock.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # listener closed by stop()
-            client_sock.setblocking(False)
-            server_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            server_sock.setblocking(False)
-            err = server_sock.connect_ex(self.upstream)
-            if err not in (0, 115, 36, 10035):  # EINPROGRESS variants
-                client_sock.close()
-                server_sock.close()
-                continue
-            link = _Link(self, client_sock, server_sock)
-            self._links.add(link)
-            # Until the upstream connect completes, the kernel queues
-            # whatever the client sends; relaying starts once writable
-            # reports the dial verdict.
-            self.loop.register(
-                server_sock, EVENT_WRITE,
-                lambda m, lk=link: self._on_upstream_dialed(lk),
-            )
-
-    def _on_upstream_dialed(self, link: _Link) -> None:
-        if link.closed:
-            return
-        err = link.server_sock.getsockopt(
-            socket.SOL_SOCKET, socket.SO_ERROR
-        )
-        if err != 0:
-            self.loop.unregister(link.server_sock)
-            for sock in (link.client_sock, link.server_sock):
-                with contextlib.suppress(OSError):
-                    sock.close()
-            self._links.discard(link)
-            return
-        for sock in (link.client_sock, link.server_sock):
-            with contextlib.suppress(OSError):
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.loop.unregister(link.server_sock)
-        self.loop.register(
-            link.client_sock, EVENT_READ,
-            lambda m, lk=link, s=link.client_sock: self._on_sock_ready(
-                lk, s, m
-            ),
-        )
-        self.loop.register(
-            link.server_sock, EVENT_READ,
-            lambda m, lk=link, s=link.server_sock: self._on_sock_ready(
-                lk, s, m
-            ),
-        )
-
-    def _update_interest(self, link: _Link, sock) -> None:
-        if link.closed:
-            return
-        reading = link.flow_reading(sock)
-        writing = link.flow_writing(sock)
-        events = 0
-        if not (reading.paused or reading.eof or link.closing):
-            events |= EVENT_READ
-        if writing.outbound.pending > 0:
-            events |= EVENT_WRITE
-        callback = (
-            lambda m, lk=link, s=sock: self._on_sock_ready(lk, s, m)
-        )
-        if events:
-            try:
-                self.loop.modify(sock, events, callback)
-            except KeyError:
-                self.loop.register(sock, events, callback)
-        else:
-            self.loop.unregister(sock)
-
     # -- relaying (loop thread) --------------------------------------------
 
-    def _on_sock_ready(self, link: _Link, sock, mask: int) -> None:
-        if link.closed:
+    def _on_listener_ready(self, mask: int) -> None:
+        # Until the upstream connect completes, the kernel queues
+        # whatever the client sends.
+        for client_sock, _ in accept_ready(self._sock):
+            self._dials[client_sock] = dial(
+                self.loop, self.upstream, None,
+                functools.partial(self._on_upstream_dialed, client_sock),
+            )
+
+    def _on_upstream_dialed(self, client_sock, server_sock, reason) -> None:
+        del self._dials[client_sock]
+        if server_sock is None:
+            close_socket(client_sock)
             return
-        if mask & EVENT_WRITE:
-            flow = link.flow_writing(sock)
-            try:
-                flow.outbound.flush(sock)
-            except OSError:
-                self._teardown(link)
-                return
-            self._update_interest(link, sock)
-            self._maybe_finish_close(link)
-            if link.closed:
-                return
-        if mask & EVENT_READ:
-            self._service_reads(link, link.flow_reading(sock))
+        splice = Splice(
+            self.loop, client_sock, server_sock,
+            on_frame=self._on_frame,
+            on_close=lambda where: self._splices.discard(splice),
+            max_frame_bytes=self.max_frame_bytes,
+        )
+        self._splices.add(splice)
+        splice.start()
 
-    def _service_reads(self, link: _Link, flow: _Flow) -> None:
-        for _ in range(16):
-            if flow.paused or link.closing:
-                break
-            try:
-                n = flow.assembler.read_into(flow.src)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._teardown(link)
-                return
-            if n == 0:
-                flow.eof = True
-                break
-        self._drain(link, flow)
-
-    def _drain(self, link: _Link, flow: _Flow) -> None:
-        """Push assembled frames through taps + interceptor until the
-        buffer runs dry, a delay pauses the direction, or the link
-        tears down."""
-        while not link.closed and not flow.paused:
-            try:
-                frame = flow.assembler.next_frame()
-            except TransportError:
-                # The relayed byte stream itself is malformed; nothing
-                # sane can be forwarded past this point.
-                self._teardown(link)
-                return
-            if frame is None:
-                break
-            for tap in self.taps:
-                tap(flow.direction, frame)
-            frames, delay_s = self.interceptor(flow.direction, frame)
-            if not frames:
-                self.dropped += 1
-                continue
-            if delay_s > 0:
-                # Hold this direction: later frames queue behind the
-                # delayed one, preserving order exactly like the old
-                # blocking relay thread.
-                flow.paused = True
-                link.pending_timers += 1
-                self.loop.call_later(
-                    delay_s,
-                    lambda lk=link, f=flow, fr=tuple(frames): (
-                        self._release_delayed(lk, f, fr)
-                    ),
-                )
-                break
-            self._forward_frames(link, flow, frames)
-        if not link.closed:
-            self._update_interest(link, flow.src)
-            if flow.eof and not flow.paused:
-                link.closing = True
-                self._update_interest(link, flow.dst)
-            self._maybe_finish_close(link)
-
-    def _release_delayed(self, link: _Link, flow: _Flow, frames) -> None:
-        link.pending_timers -= 1
-        if link.closed:
-            return
-        flow.paused = False
-        self._forward_frames(link, flow, frames)
-        # Frames buffered while paused (or the EOF seen behind them)
-        # resume through the normal drain path.
-        self._drain(link, flow)
-
-    def _forward_frames(self, link: _Link, flow: _Flow, frames) -> None:
-        for frame in frames:
-            if flow.outbound.append(
-                frame_to_bytes(frame), force=True
-            ) == SEND_CLOSED:
-                return
-            self.forwarded += 1
-        self._update_interest(link, flow.dst)
-
-    # -- teardown (loop thread) --------------------------------------------
-
-    def _maybe_finish_close(self, link: _Link) -> None:
-        if not link.closing or link.closed:
-            return
-        if link.pending_timers > 0:
-            return
-        if any(f.outbound.pending > 0 for f in link.flows.values()):
-            return
-        self._close_link(link)
-
-    def _teardown(self, link: _Link) -> None:
-        """Hard stop: the relayed stream broke mid-frame."""
-        self._close_link(link)
-
-    def _close_link(self, link: _Link) -> None:
-        if link.closed:
-            return
-        link.closed = True
-        for flow in link.flows.values():
-            flow.outbound.close()
-        for sock in (link.client_sock, link.server_sock):
-            self.loop.unregister(sock)
-            with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                sock.close()
-        self._links.discard(link)
+    def _on_frame(self, direction: str, frame: Frame):
+        for tap in self.taps:
+            tap(direction, frame)
+        frames, delay_s = self.interceptor(direction, frame)
+        if frames:
+            self.forwarded += len(frames)
+        else:
+            self.dropped += 1
+        return frames, delay_s

@@ -113,6 +113,7 @@ from repro.net.connection import (
     run_round,
 )
 from repro.net.eventloop import EVENT_READ, EVENT_WRITE, EventLoop
+from repro.net.splice import accept_ready, listen
 from repro.obs.metrics import byte_buckets
 from repro.obs.tracing import parent_from_context, resolve_tracer
 from repro.protocol.agreement import (
@@ -382,19 +383,15 @@ class WaveKeyTCPServer:
     def start(self) -> "WaveKeyTCPServer":
         if self._running:
             raise ServiceError("TCP server already started")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self._host, self._port))
-        sock.listen(1024)
-        sock.setblocking(False)
-        self._sock = sock
-        self.address = sock.getsockname()[:2]
+        self._sock = listen(self._host, self._port, backlog=1024)
+        self.address = self._sock.getsockname()[:2]
         self._running = True
         self.loop = EventLoop(
             name="wavekey-net-loop", metrics=self.metrics
         ).start()
         self.loop.call_soon(
-            self.loop.register, sock, EVENT_READ, self._on_listener_ready
+            self.loop.register, self._sock, EVENT_READ,
+            self._on_listener_ready,
         )
         if self.telemetry is not None:
             # Periodic flush keeps the tracer's own span bound from
@@ -477,20 +474,7 @@ class WaveKeyTCPServer:
     # -- accept path (loop thread) -----------------------------------------
 
     def _on_listener_ready(self, mask: int) -> None:
-        while True:
-            try:
-                client_sock, addr = self._sock.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # listener closed by stop()
-            client_sock.setblocking(False)
-            # Disable Nagle: the protocol is strict request/response,
-            # so coalescing 40-byte frames only adds RTTs.
-            with contextlib.suppress(OSError):
-                client_sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
+        for client_sock, addr in accept_ready(self._sock):
             conn = _ClientConn(self, client_sock, addr)
             self._conns.add(conn)
             self.loop.register(client_sock, EVENT_READ,
